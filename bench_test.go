@@ -283,14 +283,18 @@ func BenchmarkAblationMotionProfile(b *testing.B) {
 }
 
 // BenchmarkPipelineFrame measures raw simulator throughput: how fast
-// one simulated Q-VR frame executes on the event engine.
+// one simulated Q-VR frame executes on the event engine. The session
+// is built before the timer starts and streams into a FrameStats, so
+// neither setup nor frame materialization is timed.
 func BenchmarkPipelineFrame(b *testing.B) {
 	app, _ := scene.AppByName("HL2-H")
 	cfg := pipeline.DefaultConfig(pipeline.QVR, app)
 	cfg.Warmup = 0
 	cfg.Frames = b.N
+	s := pipeline.NewSession(cfg)
+	var st pipeline.FrameStats
 	b.ResetTimer()
-	pipeline.Run(cfg)
+	s.RunSink(&st)
 }
 
 // BenchmarkAblationControllerLatency quantifies the paper's Section 7

@@ -32,18 +32,28 @@ type Fig12Result struct {
 	QVROverSWFPS float64
 }
 
+// fig12Designs are the per-app runs of Fig. 12, in unpacking order.
+var fig12Designs = []pipeline.Design{
+	pipeline.LocalOnly, pipeline.StaticCollab, pipeline.FFR,
+	pipeline.DFR, pipeline.QVRSoftware, pipeline.QVR,
+}
+
 // Fig12 runs the overall-performance comparison.
 func Fig12(o Options) Fig12Result {
 	o = o.fill()
+	var cfgs []pipeline.Config
+	for _, app := range scene.EvalApps {
+		for _, d := range fig12Designs {
+			cfgs = append(cfgs, o.config(d, app, nil))
+		}
+	}
+	runs := stream(cfgs)
+
 	var out Fig12Result
 	var qvrFPSsum, staticFPSsum, swFPSsum float64
-	for _, app := range scene.EvalApps {
-		local := o.run(pipeline.LocalOnly, app, nil)
-		static := o.run(pipeline.StaticCollab, app, nil)
-		ffr := o.run(pipeline.FFR, app, nil)
-		dfr := o.run(pipeline.DFR, app, nil)
-		sw := o.run(pipeline.QVRSoftware, app, nil)
-		qvr := o.run(pipeline.QVR, app, nil)
+	for i, app := range scene.EvalApps {
+		r := runs[i*len(fig12Designs):]
+		local, static, ffr, dfr, sw, qvr := r[0], r[1], r[2], r[3], r[4], r[5]
 
 		base := local.AvgMTPSeconds()
 		row := Fig12Row{
@@ -111,16 +121,30 @@ type Fig13Result struct {
 	AvgResolutionReduction float64
 }
 
+// fig13Designs are the per-app runs of Fig. 13, in unpacking order.
+var fig13Designs = []pipeline.Design{
+	pipeline.RemoteOnly, pipeline.StaticCollab, pipeline.FFR, pipeline.QVR,
+}
+
 // Fig13 measures transmitted data and resolution reduction.
 func Fig13(o Options) Fig13Result {
 	o = o.fill()
+	var cfgs []pipeline.Config
+	for _, app := range scene.EvalApps {
+		for _, d := range fig13Designs {
+			cfgs = append(cfgs, o.config(d, app, nil))
+		}
+	}
+	runs := stream(cfgs)
+
 	var out Fig13Result
 	var q, s float64
-	for _, app := range scene.EvalApps {
-		remote := o.run(pipeline.RemoteOnly, app, nil).AvgBytesSent()
-		static := o.run(pipeline.StaticCollab, app, nil).AvgBytesSent()
-		ffr := o.run(pipeline.FFR, app, nil).AvgBytesSent()
-		qvr := o.run(pipeline.QVR, app, nil)
+	for i, app := range scene.EvalApps {
+		r := runs[i*len(fig13Designs):]
+		remote := r[0].AvgBytesSent()
+		static := r[1].AvgBytesSent()
+		ffr := r[2].AvgBytesSent()
+		qvr := r[3]
 		row := Fig13Row{
 			App:                 app.Name,
 			Static:              static / remote,
@@ -172,14 +196,17 @@ var Fig14Apps = []string{"Doom3-H", "HL2-H", "GRID", "UT3", "Wolf"}
 // Fig14 captures the convergence traces.
 func Fig14(o Options) Fig14Result {
 	o = o.fill()
-	var out Fig14Result
-	for _, name := range Fig14Apps {
+	cfgs := make([]pipeline.Config, len(Fig14Apps))
+	for i, name := range Fig14Apps {
 		app, _ := scene.AppByName(name)
-		res := o.run(pipeline.QVR, app, func(c *pipeline.Config) {
+		cfgs[i] = o.config(pipeline.QVR, app, func(c *pipeline.Config) {
 			c.Warmup = 0 // the convergence transient is the point
 			c.Frames = 300
 		})
-		s := Fig14Series{App: name}
+	}
+	var out Fig14Result
+	for i, res := range materialize(cfgs) {
+		s := Fig14Series{App: Fig14Apps[i]}
 		for _, f := range res.Frames {
 			s.LatencyRatio = append(s.LatencyRatio, f.LatencyRatio())
 			s.FPS = append(s.FPS, f.StageFPS)
@@ -232,14 +259,24 @@ var (
 // Table4 sweeps GPU frequency and network condition.
 func Table4(o Options) Table4Result {
 	o = o.fill()
+	var cfgs []pipeline.Config
+	for _, freq := range Table4Freqs {
+		for _, net := range Table4Nets {
+			for _, app := range scene.EvalApps {
+				cfgs = append(cfgs, o.config(pipeline.QVR, app, func(c *pipeline.Config) {
+					c.GPU = c.GPU.WithFrequency(freq)
+					c.Network = net
+				}))
+			}
+		}
+	}
+	runs := stream(cfgs)
+
 	var out Table4Result
 	for _, freq := range Table4Freqs {
 		for _, net := range Table4Nets {
 			for _, app := range scene.EvalApps {
-				res := o.run(pipeline.QVR, app, func(c *pipeline.Config) {
-					c.GPU = c.GPU.WithFrequency(freq)
-					c.Network = net
-				})
+				res := runs[len(out.Cells)]
 				out.Cells = append(out.Cells, Table4Cell{
 					FreqMHz: freq, Network: net.Name, App: app.Name,
 					AvgE1:    res.AvgE1(),
@@ -294,32 +331,48 @@ type Fig15Result struct {
 	AvgReduction float64
 }
 
-// Fig15 sweeps energy across configurations.
+// Fig15 sweeps energy across configurations. The local-only baseline
+// does not depend on the network, so it runs once per (frequency, app)
+// and is shared across the network sweep.
 func Fig15(o Options) Fig15Result {
 	o = o.fill()
-	var out Fig15Result
-	var sum float64
-	var n int
+	var cfgs []pipeline.Config
+	for _, freq := range Table4Freqs {
+		for _, app := range scene.EvalApps {
+			cfgs = append(cfgs, o.config(pipeline.LocalOnly, app, func(c *pipeline.Config) {
+				c.GPU = c.GPU.WithFrequency(freq)
+			}))
+		}
+	}
+	nLocal := len(cfgs)
 	for _, freq := range Table4Freqs {
 		for _, net := range Table4Nets {
 			for _, app := range scene.EvalApps {
-				local := o.run(pipeline.LocalOnly, app, func(c *pipeline.Config) {
-					c.GPU = c.GPU.WithFrequency(freq)
-				})
-				qvr := o.run(pipeline.QVR, app, func(c *pipeline.Config) {
+				cfgs = append(cfgs, o.config(pipeline.QVR, app, func(c *pipeline.Config) {
 					c.GPU = c.GPU.WithFrequency(freq)
 					c.Network = net
-				})
-				norm := qvr.AvgEnergyJoules() / local.AvgEnergyJoules()
+				}))
+			}
+		}
+	}
+	runs := stream(cfgs)
+	local, qvr := runs[:nLocal], runs[nLocal:]
+
+	var out Fig15Result
+	var sum float64
+	apps := len(scene.EvalApps)
+	for fi, freq := range Table4Freqs {
+		for _, net := range Table4Nets {
+			for ai, app := range scene.EvalApps {
+				norm := qvr[len(out.Cells)].AvgEnergyJoules() / local[fi*apps+ai].AvgEnergyJoules()
 				out.Cells = append(out.Cells, Fig15Cell{
 					FreqMHz: freq, Network: net.Name, App: app.Name, Normalized: norm,
 				})
 				sum += norm
-				n++
 			}
 		}
 	}
-	out.AvgReduction = 1 - sum/float64(n)
+	out.AvgReduction = 1 - sum/float64(len(out.Cells))
 	return out
 }
 

@@ -48,8 +48,10 @@ func (o Options) fill() Options {
 	return o
 }
 
-// run executes one pipeline configuration under the options.
-func (o Options) run(d pipeline.Design, app scene.App, mutate func(*pipeline.Config)) pipeline.Result {
+// config builds one pipeline configuration under the options; the
+// experiments collect these and run them through the worker pool
+// (stream or materialize).
+func (o Options) config(d pipeline.Design, app scene.App, mutate func(*pipeline.Config)) pipeline.Config {
 	cfg := pipeline.DefaultConfig(d, app)
 	cfg.Frames = o.Frames
 	cfg.Warmup = o.Warmup
@@ -57,7 +59,7 @@ func (o Options) run(d pipeline.Design, app scene.App, mutate func(*pipeline.Con
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return pipeline.Run(cfg)
+	return cfg
 }
 
 // table formats rows with aligned columns.

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"qvr/internal/pipeline"
+	"qvr/internal/scene"
 )
 
 // fast keeps experiment tests quick while exercising the full paths.
@@ -294,5 +299,42 @@ func TestSurveyProxy(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "survey") {
 		t.Error("render missing title")
+	}
+}
+
+// TestWorkerCountInvariance pins the pool's determinism contract: the
+// sweeps assemble identical results whether one worker or four run
+// their sessions.
+func TestWorkerCountInvariance(t *testing.T) {
+	o := Options{Frames: 20, Warmup: 10, Seed: 1}
+	sweep := func(procs int) []any {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return []any{Fig12(o), Fig13(o), Table4(o), Fig15(o), Fig3(o), Table1(o)}
+	}
+	one, four := sweep(1), sweep(4)
+	for i := range one {
+		if !reflect.DeepEqual(one[i], four[i]) {
+			t.Errorf("%T differs between GOMAXPROCS 1 and 4", one[i])
+		}
+	}
+}
+
+// TestStreamMatchesMaterialized checks that the streamed FrameStats
+// means are bit-identical to pipeline.Run's materialized accessors,
+// for one config per design.
+func TestStreamMatchesMaterialized(t *testing.T) {
+	app, _ := scene.AppByName("GRID")
+	var cfgs []pipeline.Config
+	for _, d := range pipeline.Designs {
+		cfgs = append(cfgs, fast.fill().config(d, app, nil))
+	}
+	for i, st := range stream(cfgs) {
+		r := pipeline.Run(cfgs[i])
+		got := []float64{st.AvgMTPSeconds(), st.FPS(), st.AvgBytesSent(), st.AvgE1(), st.AvgEnergyJoules(), st.AvgResolutionReduction()}
+		want := []float64{r.AvgMTPSeconds(), r.FPS(), r.AvgBytesSent(), r.AvgE1(), r.AvgEnergyJoules(), r.AvgResolutionReduction()}
+		if !reflect.DeepEqual(got, want) || st.Frames != len(r.Frames) {
+			t.Errorf("%v: streamed %v over %d frames, materialized %v over %d",
+				cfgs[i].Design, got, st.Frames, want, len(r.Frames))
+		}
 	}
 }

@@ -29,20 +29,24 @@ type Fig3Result struct {
 // Fig3 runs the motivation study.
 func Fig3(o Options) Fig3Result {
 	o = o.fill()
-	var r Fig3Result
+	var cfgs []pipeline.Config
 	for _, app := range scene.Table1Apps {
-		lr := o.run(pipeline.LocalOnly, app, nil)
-		lb := lr.Breakdown()
-		r.Local = append(r.Local, Fig3Row{
-			App: app.Name, Breakdown: lb, FPS: lr.FPS(),
-			TotalMS: lr.AvgMTPSeconds() * 1000,
-		})
-		rr := o.run(pipeline.RemoteOnly, app, nil)
-		rb := rr.Breakdown()
-		r.Remote = append(r.Remote, Fig3Row{
-			App: app.Name, Breakdown: rb, FPS: rr.FPS(),
-			TotalMS: rr.AvgMTPSeconds() * 1000,
-		})
+		cfgs = append(cfgs,
+			o.config(pipeline.LocalOnly, app, nil),
+			o.config(pipeline.RemoteOnly, app, nil))
+	}
+	runs := materialize(cfgs)
+
+	row := func(app scene.App, res pipeline.Result) Fig3Row {
+		return Fig3Row{
+			App: app.Name, Breakdown: res.Breakdown(), FPS: res.FPS(),
+			TotalMS: res.AvgMTPSeconds() * 1000,
+		}
+	}
+	var r Fig3Result
+	for i, app := range scene.Table1Apps {
+		r.Local = append(r.Local, row(app, runs[2*i]))
+		r.Remote = append(r.Remote, row(app, runs[2*i+1]))
 	}
 	return r
 }
@@ -91,9 +95,13 @@ type Table1Result struct{ Rows []Table1Row }
 // Table1 measures static collaboration across the Table 1 apps.
 func Table1(o Options) Table1Result {
 	o = o.fill()
+	cfgs := make([]pipeline.Config, len(scene.Table1Apps))
+	for i, app := range scene.Table1Apps {
+		cfgs[i] = o.config(pipeline.StaticCollab, app, nil)
+	}
 	var out Table1Result
-	for _, app := range scene.Table1Apps {
-		res := o.run(pipeline.StaticCollab, app, nil)
+	for i, res := range materialize(cfgs) {
+		app := scene.Table1Apps[i]
 		row := Table1Row{
 			App:         app.Name,
 			Resolution:  fmt.Sprintf("%dx%d", app.Width, app.Height),

@@ -112,6 +112,7 @@ var deterministicPrefixes = []string{
 	"qvr/internal/netsim",
 	"qvr/internal/cliout",
 	"qvr/internal/report",
+	"qvr/internal/experiments",
 	"qvr/internal/lint",
 }
 

@@ -37,7 +37,7 @@ func TestDeterministicPackagesCoversIssueList(t *testing.T) {
 		"qvr/internal/pipeline", "qvr/internal/fleet", "qvr/internal/scenario",
 		"qvr/internal/edge", "qvr/internal/autoscale", "qvr/internal/capacity",
 		"qvr/internal/framesink", "qvr/internal/obs", "qvr/internal/stats",
-		"qvr/internal/sim", "qvr/internal/netsim",
+		"qvr/internal/sim", "qvr/internal/netsim", "qvr/internal/experiments",
 	}
 	for _, p := range required {
 		if !lint.DeterministicPackage(p) {
