@@ -91,10 +91,12 @@ func (d Display) AreaFraction(e1, gx, gy float64) float64 {
 	}
 	halfW, halfV := d.FovH/2, d.FovV/2
 	// Integrate the disc's horizontal chord across vertical strips,
-	// clipping each chord to the display rectangle.
+	// clipping each chord to the display rectangle. The min/max
+	// builtins share math.Min/Max's NaN and signed-zero semantics but
+	// compile inline, which keeps this hot loop free of calls.
 	const strips = 128
-	y0 := math.Max(gy-e1, -halfV)
-	y1 := math.Min(gy+e1, halfV)
+	y0 := max(gy-e1, -halfV)
+	y1 := min(gy+e1, halfV)
 	if y1 <= y0 {
 		return 0
 	}
@@ -107,8 +109,8 @@ func (d Display) AreaFraction(e1, gx, gy float64) float64 {
 			continue
 		}
 		half := math.Sqrt(h)
-		x0 := math.Max(gx-half, -halfW)
-		x1 := math.Min(gx+half, halfW)
+		x0 := max(gx-half, -halfW)
+		x1 := min(gx+half, halfW)
 		if x1 > x0 {
 			area += (x1 - x0) * dy
 		}
@@ -244,37 +246,27 @@ func (p *Partitioner) Partition(e1, gx, gy float64) (Partition, error) {
 		return part, nil
 	}
 
-	// Scan candidate e2 values minimizing periphery payload.
+	// Scan candidate e2 values minimizing periphery payload. Each step
+	// integrates the disc once; the winner's area is kept for sizing.
 	bestE2 := e1
 	bestCost := math.Inf(1)
+	bestArea := 0.0
 	sMid := p.LayerScale(e1, p.MidScaleFloor) // middle sampled for its inner edge
 	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
 		sOut := p.LayerScale(e2, p.OuterScaleFloor)
-		midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
-		if midFrac < 0 {
-			midFrac = 0
-		}
-		outFrac := 1 - d.AreaFraction(e2, gx, gy)
-		if outFrac < 0 {
-			outFrac = 0
-		}
+		area := d.AreaFraction(e2, gx, gy)
+		midFrac, outFrac := bandFractions(area, part.FoveaAreaFraction)
 		cost := midFrac*total*sMid*sMid + outFrac*total*sOut*sOut
 		if cost < bestCost {
 			bestCost = cost
 			bestE2 = e2
+			bestArea = area
 		}
 	}
 
 	e2 := bestE2
 	sOut := p.LayerScale(e2, p.OuterScaleFloor)
-	midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
-	if midFrac < 0 {
-		midFrac = 0
-	}
-	outFrac := 1 - d.AreaFraction(e2, gx, gy)
-	if outFrac < 0 {
-		outFrac = 0
-	}
+	midFrac, outFrac := bandFractions(bestArea, part.FoveaAreaFraction)
 
 	part.E2 = e2
 	part.Middle = Layer{
@@ -295,6 +287,21 @@ func (p *Partitioner) Partition(e1, gx, gy float64) (Partition, error) {
 		part.ResolutionReduction = 0
 	}
 	return part, nil
+}
+
+// bandFractions splits the display outside the fovea at a disc of
+// clipped area fraction area: the middle band's share (disc minus
+// fovea) and the outer band's share (the rest), each floored at 0.
+func bandFractions(area, fovea float64) (mid, out float64) {
+	mid = area - fovea
+	if mid < 0 {
+		mid = 0
+	}
+	out = 1 - area
+	if out < 0 {
+		out = 0
+	}
+	return mid, out
 }
 
 // PerceptionScore is a proxy for the paper's 50-candidate user survey:

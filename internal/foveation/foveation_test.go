@@ -243,3 +243,176 @@ func TestGazeOffCenterReducesPeriphery(t *testing.T) {
 		t.Errorf("fovea exceeds display: %d", part.Fovea.Pixels)
 	}
 }
+
+// refAreaFraction is AreaFraction as it was before the min/max
+// builtins replaced math.Max/math.Min; the bit-identity test below
+// holds the kernel to it.
+func refAreaFraction(d Display, e1, gx, gy float64) float64 {
+	if e1 <= 0 {
+		return 0
+	}
+	halfW, halfV := d.FovH/2, d.FovV/2
+	const strips = 128
+	y0 := math.Max(gy-e1, -halfV)
+	y1 := math.Min(gy+e1, halfV)
+	if y1 <= y0 {
+		return 0
+	}
+	dy := (y1 - y0) / strips
+	area := 0.0
+	for i := 0; i < strips; i++ {
+		y := y0 + (float64(i)+0.5)*dy
+		h := e1*e1 - (y-gy)*(y-gy)
+		if h <= 0 {
+			continue
+		}
+		half := math.Sqrt(h)
+		x0 := math.Max(gx-half, -halfW)
+		x1 := math.Min(gx+half, halfW)
+		if x1 > x0 {
+			area += (x1 - x0) * dy
+		}
+	}
+	return area / (d.FovH * d.FovV)
+}
+
+// refPartition is Partition as it was before the scan integrated each
+// candidate disc once: two area calls per e2 step, then a recompute at
+// the winning e2.
+func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
+	if e1 < MinE1 || e1 > MaxE1 {
+		return Partition{}, ErrEccentricity
+	}
+	d := p.Display
+	maxEcc := d.MaxEccentricity()
+
+	var part Partition
+	part.E1 = e1
+	part.Gaze.X, part.Gaze.Y = gx, gy
+	part.FoveaAreaFraction = refAreaFraction(d, e1, gx, gy)
+
+	total := float64(d.TotalPixels())
+	foveaPixels := part.FoveaAreaFraction * total
+	part.Fovea = Layer{Name: "fovea", Inner: 0, Outer: e1, Scale: 1, Pixels: int(foveaPixels)}
+
+	if e1 >= maxEcc {
+		part.E2 = maxEcc
+		part.Middle = Layer{Name: "middle", Inner: e1, Outer: maxEcc, Scale: p.LayerScale(e1, p.MidScaleFloor)}
+		part.Outer = Layer{Name: "outer", Inner: maxEcc, Outer: maxEcc, Scale: p.LayerScale(maxEcc, p.OuterScaleFloor)}
+		part.ResolutionReduction = 0
+		return part, nil
+	}
+
+	bestE2 := e1
+	bestCost := math.Inf(1)
+	sMid := p.LayerScale(e1, p.MidScaleFloor)
+	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
+		sOut := p.LayerScale(e2, p.OuterScaleFloor)
+		midFrac := refAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
+		if midFrac < 0 {
+			midFrac = 0
+		}
+		outFrac := 1 - refAreaFraction(d, e2, gx, gy)
+		if outFrac < 0 {
+			outFrac = 0
+		}
+		cost := midFrac*total*sMid*sMid + outFrac*total*sOut*sOut
+		if cost < bestCost {
+			bestCost = cost
+			bestE2 = e2
+		}
+	}
+
+	e2 := bestE2
+	sOut := p.LayerScale(e2, p.OuterScaleFloor)
+	midFrac := refAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
+	if midFrac < 0 {
+		midFrac = 0
+	}
+	outFrac := 1 - refAreaFraction(d, e2, gx, gy)
+	if outFrac < 0 {
+		outFrac = 0
+	}
+
+	part.E2 = e2
+	part.Middle = Layer{Name: "middle", Inner: e1, Outer: e2, Scale: sMid, Pixels: int(midFrac * total * sMid * sMid)}
+	part.Outer = Layer{Name: "outer", Inner: e2, Outer: maxEcc, Scale: sOut, Pixels: int(outFrac * total * sOut * sOut)}
+	part.PeripheryPixels = part.Middle.Pixels + part.Outer.Pixels
+	part.ResolutionReduction = 1 - (foveaPixels+float64(part.PeripheryPixels))/total
+	if part.ResolutionReduction < 0 {
+		part.ResolutionReduction = 0
+	}
+	return part, nil
+}
+
+// partitionBits flattens a Partition into comparable words: floats as
+// their IEEE-754 bits, so -0 and +0 (or two NaN payloads) differ.
+func partitionBits(p Partition) []any {
+	layer := func(l Layer) []any {
+		return []any{l.Name, math.Float64bits(l.Inner), math.Float64bits(l.Outer), math.Float64bits(l.Scale), l.Pixels}
+	}
+	out := []any{
+		math.Float64bits(p.E1), math.Float64bits(p.E2),
+		math.Float64bits(p.Gaze.X), math.Float64bits(p.Gaze.Y),
+		math.Float64bits(p.FoveaAreaFraction), p.PeripheryPixels,
+		math.Float64bits(p.ResolutionReduction),
+	}
+	for _, l := range []Layer{p.Fovea, p.Middle, p.Outer} {
+		out = append(out, layer(l)...)
+	}
+	return out
+}
+
+// bitGrid spans clipped, off-centre gazes and both Partition branches
+// (a scanned e2 and the fully-local fovea at and past MaxEccentricity).
+var (
+	bitGridE1 = []float64{5, 5.5, 7, 12.25, 30, 45.5, 70, DefaultDisplay.MaxEccentricity(), 90}
+	bitGridGX = []float64{-55, -40, -12.5, 0, 3.3, 40, 55}
+	bitGridGY = []float64{-45, -20, 0, 17.5, 45}
+)
+
+// TestPartitionBitIdenticalToReference holds the optimized kernel to
+// the reference scan bit for bit, over the whole grid.
+func TestPartitionBitIdenticalToReference(t *testing.T) {
+	p := NewPartitioner(DefaultDisplay)
+	d := p.Display
+	for _, e1 := range bitGridE1 {
+		for _, gx := range bitGridGX {
+			for _, gy := range bitGridGY {
+				if got, want := d.AreaFraction(e1, gx, gy), refAreaFraction(d, e1, gx, gy); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("AreaFraction(%v, %v, %v) = %v, reference %v", e1, gx, gy, got, want)
+				}
+				got, gotErr := p.Partition(e1, gx, gy)
+				want, wantErr := refPartition(p, e1, gx, gy)
+				if gotErr != wantErr {
+					t.Fatalf("Partition(%v, %v, %v) error %v, reference %v", e1, gx, gy, gotErr, wantErr)
+				}
+				g, w := partitionBits(got), partitionBits(want)
+				for i := range w {
+					if g[i] != w[i] {
+						t.Errorf("Partition(%v, %v, %v) word %d = %v, reference %v", e1, gx, gy, i, g[i], w[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPartition times one e1 sweep (MinE1 to 70 degrees in
+// 5-degree steps) at three gazes, two of them off-centre: the
+// per-frame partition kernel the foveated designs run.
+func BenchmarkPartition(b *testing.B) {
+	p := NewPartitioner(DefaultDisplay)
+	gazes := [][2]float64{{0, 0}, {-12.5, 17.5}, {40, -20}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gazes {
+			for e1 := MinE1; e1 <= 70; e1 += 5 {
+				if _, err := p.Partition(e1, g[0], g[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

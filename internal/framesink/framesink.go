@@ -85,9 +85,13 @@ func (s *StatsSink) Reset(buf []float64) {
 	s.mtp = buf[len(buf):]
 }
 
-// Buffer returns the sample slice including everything observed so
-// far — what a worker passes to the next Reset to keep appending into
-// the same backing array.
+// Buffer returns only the current session's sample region: the
+// samples observed since the last Reset, which start where the buf
+// given to that Reset ended and share its backing array until an
+// append outgrows it. It does not include earlier sessions. Passed to
+// the next Reset, it starts that session right after this region; to
+// collect a shard's samples in one slice, extend the caller's buffer
+// with append(buf, sink.Buffer()...) instead.
 func (s *StatsSink) Buffer() []float64 { return s.mtp }
 
 // Summary finalizes the session: it sorts the sample region in place

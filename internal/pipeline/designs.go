@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"qvr/internal/foveation"
 	"qvr/internal/gpu"
 	"qvr/internal/sim"
@@ -182,10 +184,18 @@ func (s *session) frameStatic(f *frameState) {
 // interface for the current frame's gaze and content density. The
 // session owns one instance (refreshed per frame) and hands out its
 // pointer, so the interface conversion never allocates.
+//
+// It also remembers the last successful partition: the LIWC sizes the
+// periphery at the e1 it plans, and the frame then partitions at that
+// same e1 and gaze, so the second scan is answered from the memo.
 type liwcGeom struct {
 	part    *foveation.Partitioner
 	gx, gy  float64
 	density float64
+
+	memoOK    bool
+	memoKey   [3]uint64 // Float64bits of (e1, gx, gy)
+	memoValue foveation.Partition
 }
 
 func (g *liwcGeom) FoveaShare(e1 float64) float64 {
@@ -198,11 +208,27 @@ func (g *liwcGeom) FoveaShare(e1 float64) float64 {
 }
 
 func (g *liwcGeom) PeripheryPixels(e1 float64) int {
-	p, err := g.part.Partition(foveation.ClampE1(e1), g.gx, g.gy)
+	p, err := g.partition(foveation.ClampE1(e1))
 	if err != nil {
 		return 0
 	}
 	return 2 * p.PeripheryPixels // both eyes
+}
+
+// partition returns g.part.Partition(e1, g.gx, g.gy), reusing the
+// previous result when the key is bit-for-bit the same. Partition is
+// pure, so the memo is exact; errors are returned but never cached.
+func (g *liwcGeom) partition(e1 float64) (foveation.Partition, error) {
+	key := [3]uint64{math.Float64bits(e1), math.Float64bits(g.gx), math.Float64bits(g.gy)}
+	if g.memoOK && key == g.memoKey {
+		return g.memoValue, nil
+	}
+	p, err := g.part.Partition(e1, g.gx, g.gy)
+	if err != nil {
+		return p, err
+	}
+	g.memoOK, g.memoKey, g.memoValue = true, key, p
+	return p, nil
 }
 
 // peripheryQuality is the encode quality for the periphery layers: the
@@ -241,11 +267,11 @@ func (s *session) frameCollaborative(f *frameState) {
 	case QVRSoftware:
 		e1 = s.sw.Plan()
 	}
-	part, err := s.part.Partition(e1, f.sample.Gaze.X, f.sample.Gaze.Y)
+	part, err := s.geom.partition(e1)
 	if err != nil {
 		// Out-of-range e1 cannot happen via the controllers; guard by
 		// falling back to the classic fovea.
-		part, _ = s.part.Partition(5, f.sample.Gaze.X, f.sample.Gaze.Y)
+		part, _ = s.geom.partition(5)
 		e1 = 5
 	}
 	f.part = part

@@ -132,6 +132,37 @@ func TestLiwcGeomDensityScalesShare(t *testing.T) {
 	}
 }
 
+// TestLiwcGeomMemoMatchesFreshPartition checks that the memoized
+// partition always equals a fresh Partitioner.Partition: after a gaze
+// change, after an e1 change, and after an out-of-range e1 whose error
+// must not be cached.
+func TestLiwcGeomMemoMatchesFreshPartition(t *testing.T) {
+	s := newTestSession(t, QVR)
+	g := liwcGeom{part: s.part, density: 1}
+	check := func(step string, e1 float64) {
+		t.Helper()
+		got, gotErr := g.partition(e1)
+		want, wantErr := s.part.Partition(e1, g.gx, g.gy)
+		if gotErr != wantErr || got != want {
+			t.Errorf("%s: memo (%+v, %v), fresh (%+v, %v)", step, got, gotErr, want, wantErr)
+		}
+	}
+	g.gx, g.gy = 10, -5
+	check("first", 20)
+	check("repeat", 20)
+	g.gx, g.gy = -30, 12
+	check("gaze changed", 20)
+	check("e1 changed", 33.5)
+	check("out of range", 120)
+	if g.memoKey[0] != math.Float64bits(33.5) {
+		t.Error("an out-of-range e1 replaced the memo")
+	}
+	check("after error", 33.5)
+	if g.PeripheryPixels(33.5) != 2*g.memoValue.PeripheryPixels {
+		t.Error("PeripheryPixels disagrees with the memoized partition")
+	}
+}
+
 func TestResolutionReductionBounds(t *testing.T) {
 	s := newTestSession(t, QVR)
 	f := func(e1, gx, gy float64) bool {
