@@ -449,6 +449,28 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "sessions/s")
 }
 
+// BenchmarkFleetSource is BenchmarkFleetStreaming's fleet driven
+// through Config.Source: the same 32 exact sessions, minted per index
+// inside the workers and retaining no per-session results. Its allocs
+// gate the streamed population path.
+func BenchmarkFleetSource(b *testing.B) {
+	specs := streamingBenchSpecs(b)
+	src := &fleet.SpecSource{
+		N:              len(specs),
+		MeasuredFrames: specs[0].Config.MeasuredFrames(),
+		At:             func(i int) fleet.SessionSpec { return specs[i] },
+	}
+	var s fleet.Summary
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s = fleet.Run(fleet.Config{Source: src, Workers: 4}).Summarize()
+	}
+	b.ReportMetric(s.AggregateFPS, "agg-fps")
+	b.ReportMetric(s.P99MTPMs, "p99-mtp-ms")
+	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "sessions/s")
+}
+
 // BenchmarkFleetSurrogate is the mixed-fidelity twin of
 // BenchmarkFleetStreaming: the identical 32-session fleet, but with
 // the calibrated analytic fast path carrying every unsampled session

@@ -133,18 +133,18 @@ func (a Admission) withDefaults() Admission {
 	return a
 }
 
-// admit applies the admission and cell-sharing layers to cfg.Specs,
-// returning the admitted specs (with adjusted Configs), the dropped
-// specs, and the contention report. Specs are never mutated in place;
-// admitted entries carry copies.
-func admit(cfg Config) (admitted, dropped []SessionSpec, report Contention) {
+// admit applies the admission and cell-sharing layers to specs, the
+// run's own materialized population, returning the admitted specs
+// (with adjusted Configs), the dropped specs, and the contention
+// report. Cell sharing adjusts specs in place, so the caller must not
+// pass a slice it shares.
+func admit(cfg Config, specs []SessionSpec) (admitted, dropped []SessionSpec, report Contention) {
 	// Counters increment here, at the decision sites, not from the
 	// report fields — obs.Refute cross-checks the two independently.
 	var ctl *obs.Shard
 	if cfg.Obs != nil {
 		ctl = cfg.Obs.Ctl()
 	}
-	specs := cfg.Specs
 	a := cfg.Admission
 	switch {
 	case cfg.Placer != nil:
@@ -202,10 +202,6 @@ func admit(cfg Config) (admitted, dropped []SessionSpec, report Contention) {
 			adjusted[i] = sp
 		}
 		specs = adjusted
-	default:
-		admittedCopy := make([]SessionSpec, len(specs))
-		copy(admittedCopy, specs)
-		specs = admittedCopy
 	}
 
 	if cfg.CellCapacity > 0 {

@@ -274,7 +274,7 @@ func (f *fidelityState) report(ctl *obs.Shard) *FidelityReport {
 }
 
 // mergedSorted concatenates the summaries' sorted sample arrays and
-// sorts once — the same multiset convention as Result.mergedMTP.
+// sorts once — the same multiset convention as the fleet roll-up.
 func mergedSorted(sums []framesink.Summary) []float64 {
 	total := 0
 	for _, s := range sums {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qvr/internal/framesink"
+	"qvr/internal/gpu"
 	"qvr/internal/obs"
 	"qvr/internal/pipeline"
 	"qvr/internal/surrogate"
@@ -80,53 +81,75 @@ func TestFidelitySplitBooks(t *testing.T) {
 	}
 }
 
-// TestLeanExactOnlyMatchesStandard: a Source-driven run with no
-// fidelity config runs every session on the exact simulator and must
-// reproduce the materialized-spec engine's summary exactly. This is
-// the regression test for the shard-buffer truncation bug, where a
-// lean shard's merged percentiles silently collapsed to its last
-// session's samples.
-func TestLeanExactOnlyMatchesStandard(t *testing.T) {
-	specs := testSpecs(t, 24)
-	std := Run(Config{Specs: specs, Workers: 3}).Summarize()
-	lean := Run(Config{
-		Source: &SpecSource{
-			N:              len(specs),
-			MeasuredFrames: specs[0].Config.MeasuredFrames(),
-			At:             func(i int) SessionSpec { return specs[i] },
-		},
-		Workers: 3,
-	}).Summarize()
-	std.Workers, std.WallSeconds = 0, 0
-	lean.Workers, lean.WallSeconds = 0, 0
-	if !reflect.DeepEqual(std, lean) {
-		t.Errorf("lean summary diverged from standard engine:\n%+v\nvs\n%+v", std, lean)
-	}
-}
-
-// TestLeanFidelityMatchesStandard: the same equivalence on the mixed
-// path — identical population and fidelity config must yield the same
-// summary AND the same cross-check report from both engines.
-func TestLeanFidelityMatchesStandard(t *testing.T) {
+// TestSourceMatchesSpecs: a Source-driven run is the Specs run minus
+// the per-session results. For every layer — exact, mixed fidelity,
+// admission with drops, cell sharing, tracing and counters — the same
+// population through either field must give the same summary,
+// contention report, fidelity report, frame books, traces and
+// counters, and the Source run must keep no sessions. (The exact case
+// is also the regression test for the shard-buffer truncation bug,
+// where a streamed shard's merged percentiles collapsed to its last
+// session's samples.)
+func TestSourceMatchesSpecs(t *testing.T) {
 	specs := testSpecs(t, 36)
-	stdR := Run(Config{Specs: specs, Workers: 3, Fidelity: mixedFidelity()})
-	leanR := Run(Config{
-		Source: &SpecSource{
-			N:              len(specs),
-			MeasuredFrames: specs[0].Config.MeasuredFrames(),
-			At:             func(i int) SessionSpec { return specs[i] },
-		},
-		Workers:  3,
-		Fidelity: mixedFidelity(),
-	})
-	std, lean := stdR.Summarize(), leanR.Summarize()
-	std.Workers, std.WallSeconds = 0, 0
-	lean.Workers, lean.WallSeconds = 0, 0
-	if !reflect.DeepEqual(std, lean) {
-		t.Errorf("mixed lean summary diverged from standard engine:\n%+v\nvs\n%+v", std, lean)
-	}
-	if !reflect.DeepEqual(stdR.Fidelity, leanR.Fidelity) {
-		t.Errorf("fidelity reports diverged:\n%+v\nvs\n%+v", stdR.Fidelity, leanR.Fidelity)
+	cluster := gpu.DefaultRemote().WithGPUs(2)
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"exact", func() Config { return Config{Workers: 3} }},
+		{"fidelity", func() Config { return Config{Workers: 3, Fidelity: mixedFidelity()} }},
+		{"admission", func() Config {
+			return Config{Workers: 3, Admission: Admission{Cluster: cluster}, Obs: obs.New()}
+		}},
+		{"cells", func() Config { return Config{Workers: 3, CellCapacity: 4, Fidelity: mixedFidelity()} }},
+		{"tracer", func() Config {
+			return Config{Workers: 3, Tracer: obs.NewTracer(5), TraceLabel: "t", Obs: obs.New()}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specCfg, srcCfg := tc.cfg(), tc.cfg()
+			specCfg.Specs = specs
+			srcCfg.Source = &SpecSource{
+				N:              len(specs),
+				MeasuredFrames: specs[0].Config.MeasuredFrames(),
+				At:             func(i int) SessionSpec { return specs[i] },
+			}
+			specRun, srcRun := Run(specCfg), Run(srcCfg)
+			if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
+				t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
+			}
+			if len(srcRun.Sessions) != 0 {
+				t.Errorf("Source run kept %d sessions, want none", len(srcRun.Sessions))
+			}
+			specSum, srcSum := specRun.Summarize(), srcRun.Summarize()
+			specSum.Workers, specSum.WallSeconds = 0, 0
+			srcSum.Workers, srcSum.WallSeconds = 0, 0
+			if !reflect.DeepEqual(specSum, srcSum) {
+				t.Errorf("summaries diverged:\n%+v\nvs\n%+v", specSum, srcSum)
+			}
+			if !reflect.DeepEqual(specRun.Contention, srcRun.Contention) || !reflect.DeepEqual(specRun.Dropped, srcRun.Dropped) {
+				t.Errorf("contention diverged:\n%+v %d dropped\nvs\n%+v %d dropped",
+					specRun.Contention, len(specRun.Dropped), srcRun.Contention, len(srcRun.Dropped))
+			}
+			if !reflect.DeepEqual(specRun.Fidelity, srcRun.Fidelity) {
+				t.Errorf("fidelity reports diverged:\n%+v\nvs\n%+v", specRun.Fidelity, srcRun.Fidelity)
+			}
+			if specRun.TotalMeasuredFrames() != srcRun.TotalMeasuredFrames() || specRun.TotalMeasuredFrames() <= 0 {
+				t.Errorf("measured frames %d vs %d", specRun.TotalMeasuredFrames(), srcRun.TotalMeasuredFrames())
+			}
+			if specCfg.Tracer != nil && !reflect.DeepEqual(specCfg.Tracer.Doc(), srcCfg.Tracer.Doc()) {
+				t.Error("traces diverged")
+			}
+			if specCfg.Obs != nil {
+				if !reflect.DeepEqual(specCfg.Obs.Snapshot(), srcCfg.Obs.Snapshot()) {
+					t.Error("counter snapshots diverged")
+				}
+				if _, err := obs.Refute(srcCfg.Obs.Snapshot(), Expectations(srcRun)); err != nil {
+					t.Errorf("Source run's counters do not reconcile: %v", err)
+				}
+			}
+		})
 	}
 }
 

@@ -27,10 +27,13 @@
 // []FrameRecord, so fleet memory is O(sessions) summaries plus one
 // float64 per frame (the exact-percentile samples) rather than
 // sessions x frames full records. The worker pool is sharded — each
-// worker owns a contiguous range of the admitted specs and one
+// worker owns a contiguous index range of the population and one
 // reusable sink plus one pre-sized sample buffer for its whole shard —
 // following the partition-over-share guidance that scales this to
-// 100k-session scenarios.
+// 100k-session scenarios. The population is either a spec slice
+// (Config.Specs, per-session results kept) or a per-index generator
+// (Config.Source, nothing per session kept), which is what carries a
+// timeline to a million sessions; both run the same shard loop.
 //
 // Each session remains a fully deterministic single-threaded
 // simulation; concurrency lives only between sessions, and every
@@ -100,13 +103,49 @@ type Config struct {
 	// comparison lands in Result.Fidelity.
 	Fidelity *Fidelity
 	// Source, when set, replaces Specs with a pure per-index spec
-	// generator and switches Run to the lean engine: per-session state
-	// shrinks to two float64s, which is what lets a million-session
-	// timeline fit a CI memory budget. Lean runs support plain
-	// uncontended fleets only (no Admission, Placer, CellCapacity or
-	// Tracer); Run panics otherwise, because the scenario layer
-	// validates this before it ever builds a Source.
+	// generator. The run is the same; only retention differs: a Source
+	// run keeps no per-session results (Result.Sessions stays empty),
+	// just the roll-up, so a million-session timeline fits a CI memory
+	// budget. Admission, Placer and CellCapacity decide over the whole
+	// population, so with any of them on the source is materialized
+	// first.
 	Source *SpecSource
+}
+
+// SpecSource is a population as a pure per-index spec generator in
+// place of a materialized spec slice: each worker mints its shard's
+// specs transiently, so a million-session fleet never exists in memory
+// as specs.
+type SpecSource struct {
+	// N is the population size.
+	N int
+	// MeasuredFrames is the per-session measured frame count, used to
+	// pre-size the per-shard sample buffers.
+	MeasuredFrames int
+	// At mints the spec with index i. It must be a pure function of i
+	// (the scenario layer builds it from Mix.Minter plus the phase
+	// view) and safe for concurrent calls from the worker pool.
+	At func(i int) SessionSpec
+}
+
+// sliceSource serves a materialized spec slice through the SpecSource
+// seam. MeasuredFrames is the slice's largest, so a shard buffer never
+// has to regrow.
+func sliceSource(specs []SessionSpec) *SpecSource {
+	src := &SpecSource{N: len(specs), At: func(i int) SessionSpec { return specs[i] }}
+	for _, sp := range specs {
+		src.MeasuredFrames = max(src.MeasuredFrames, sp.Config.MeasuredFrames())
+	}
+	return src
+}
+
+// materialize mints every index of the source into a fresh slice.
+func (src *SpecSource) materialize() []SessionSpec {
+	specs := make([]SessionSpec, src.N)
+	for i := range specs {
+		specs[i] = src.At(i)
+	}
+	return specs
 }
 
 // SessionResult pairs a spec with its completed simulation: the
@@ -123,7 +162,8 @@ type SessionResult struct {
 
 // Result is a completed fleet run.
 type Result struct {
-	// Sessions holds the admitted sessions in spec order.
+	// Sessions holds the admitted sessions in spec order. It stays
+	// empty in a Config.Source run.
 	Sessions []SessionResult
 	// Dropped lists the sessions the admission layer rejected.
 	Dropped []SessionSpec
@@ -137,27 +177,45 @@ type Result struct {
 	// Fidelity carries the mixed-fidelity cross-check report (nil in
 	// pure-exact runs).
 	Fidelity *FidelityReport
-	// lean holds the compact roll-up of a Source-driven run, where
-	// Sessions stays empty by design.
-	lean *leanResult
+	// summary is the population roll-up Run computes once (see rollUp);
+	// Summarize adds the run shape and contention fields to it.
+	summary Summary
+	// exactFrames is the measured frames of the exact-DES sessions.
+	exactFrames int64
 }
 
+// tally is the part of a session's result the roll-up needs, kept for
+// every session whether or not its SessionResult is.
+type tally struct{ fps, bytes float64 }
+
 // Run simulates every admitted session across the worker pool and
-// aggregates the results. The outcome is deterministic for fixed
-// Specs regardless of Workers.
+// aggregates the results. The outcome is deterministic for a fixed
+// population regardless of Workers.
 func Run(cfg Config) Result {
-	if cfg.Source != nil {
-		return runLean(cfg)
-	}
 	start := time.Now() //qvr:wallclock feeds WallSeconds, the result's one declared non-deterministic field
+	var ctl *obs.Shard
+	if cfg.Obs != nil {
+		ctl = cfg.Obs.Ctl()
+	}
+
+	src := cfg.Source
+	if src == nil {
+		src = sliceSource(cfg.Specs)
+	}
+	var dropped []SessionSpec
+	var contention Contention
+	if cfg.Placer != nil || cfg.Admission.Enabled || cfg.Admission.Cluster.GPUs > 0 || cfg.CellCapacity > 0 {
+		var admitted []SessionSpec
+		admitted, dropped, contention = admit(cfg, src.materialize())
+		src = sliceSource(admitted)
+	}
+	n := src.N
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	admitted, dropped, contention := admit(cfg)
-	if workers > len(admitted) && len(admitted) > 0 {
-		workers = len(admitted)
+	if workers > n && n > 0 {
+		workers = n
 	}
 
 	traceRun := -1
@@ -171,129 +229,143 @@ func Run(cfg Config) Result {
 	// The class keys see the post-admission configs, so the surrogate
 	// models the same contention the exact simulator pays.
 	var fid *fidelityState
-	if cfg.Fidelity != nil && cfg.Fidelity.Runner != nil && len(admitted) > 0 {
-		var ctl *obs.Shard
-		if cfg.Obs != nil {
-			ctl = cfg.Obs.Ctl()
-		}
-		fid = newFidelityState(cfg.Fidelity, len(admitted),
-			func(i int) pipeline.Config { return admitted[i].Config }, ctl)
+	if cfg.Fidelity != nil && cfg.Fidelity.Runner != nil && n > 0 {
+		fid = newFidelityState(cfg.Fidelity, n,
+			func(i int) pipeline.Config { return src.At(i).Config }, ctl)
 	}
 
-	results := make([]SessionResult, len(admitted))
+	var results []SessionResult
+	if cfg.Source == nil {
+		results = make([]SessionResult, n)
+	}
+	tallies := make([]tally, n)
+	bufs := make([][]float64, workers)
+	frames := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Contiguous shards: worker w owns admitted[lo:hi]. Results are
-		// indexed by spec position, so the partitioning (like the pool
-		// size) can never leak into the science.
-		lo, hi := len(admitted)*w/workers, len(admitted)*(w+1)/workers
+		// Contiguous shards: worker w owns indices [lo, hi). Everything
+		// kept is indexed by spec position, so the partitioning (like
+		// the pool size) can never leak into the science.
+		lo, hi := n*w/workers, n*(w+1)/workers
 		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			runShard(cfg, admitted, results, lo, hi, traceRun, fid)
-		}(lo, hi)
+			bufs[w], frames[w] = runShard(cfg, src, fid, traceRun, lo, hi, results, tallies)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 
 	res := Result{
-		Sessions:    results,
-		Dropped:     dropped,
-		Workers:     workers,
-		Contention:  contention,
-		WallSeconds: time.Since(start).Seconds(), //qvr:wallclock WallSeconds is the result's one declared non-deterministic field
+		Sessions:   results,
+		Dropped:    dropped,
+		Workers:    workers,
+		Contention: contention,
+		summary:    rollUp(tallies, bufs, len(dropped)),
 	}
+	for _, f := range frames {
+		res.exactFrames += f
+	}
+	res.WallSeconds = time.Since(start).Seconds() //qvr:wallclock WallSeconds is the result's one declared non-deterministic field
 	if fid != nil {
-		var ctl *obs.Shard
-		if cfg.Obs != nil {
-			ctl = cfg.Obs.Ctl()
-		}
 		res.Fidelity = fid.report(ctl)
 	}
 	return res
 }
 
-// runShard simulates admitted[lo:hi] with worker-local state: one
+// runShard simulates indices [lo, hi) with worker-local state: one
 // reusable StatsSink and one sample buffer pre-sized for the shard's
-// total measured frames, so an entire shard's exact-percentile
-// samples live in a single allocation and per-session garbage is
-// limited to the simulator itself. When counters are on, the worker
-// also owns one registry shard and one StageSink reused across its
-// whole range — the per-frame path stays allocation-free either way.
-func runShard(cfg Config, admitted []SessionSpec, results []SessionResult, lo, hi, traceRun int, fid *fidelityState) {
-	frames := 0
-	predFrames := 0
-	for i := lo; i < hi; i++ {
-		frames += admitted[i].Config.MeasuredFrames()
-		if fid != nil && fid.marks[i] {
-			predFrames += admitted[i].Config.MeasuredFrames()
-		}
-	}
-	buf := make([]float64, 0, frames)
+// measured frames, so an entire shard's exact-percentile samples live
+// in a single allocation and per-session garbage is limited to the
+// simulator itself. When counters are on, the worker also owns one
+// registry shard and one StageSink reused across its whole range — the
+// per-frame path stays allocation-free either way. It writes tallies
+// (and results, when kept) at each session's index and returns the
+// shard's sample buffer plus its exact-DES frame count.
+func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi int, results []SessionResult, tallies []tally) ([]float64, int64) {
+	buf := make([]float64, 0, (hi-lo)*src.MeasuredFrames)
 	var predBuf []float64
-	if predFrames > 0 {
-		predBuf = make([]float64, 0, predFrames)
+	if fid != nil {
+		marked := 0
+		for i := lo; i < hi; i++ {
+			if fid.marks[i] {
+				marked++
+			}
+		}
+		if marked > 0 {
+			predBuf = make([]float64, 0, marked*src.MeasuredFrames)
+		}
 	}
 	var sink framesink.StatsSink
 	var stage obs.StageSink
 	if cfg.Obs != nil {
 		stage = obs.StageSink{Shard: cfg.Obs.NewShard(), Next: &sink}
 	}
+	var exactFrames int64
 	for i := lo; i < hi; i++ {
+		sp := src.At(i)
+		ran := sp.Config
+		var sum framesink.Summary
 		if fid != nil && !fid.marks[i] {
 			// Analytic fast path: the prediction is a pure per-session
 			// function, so its place in the results (and its samples'
 			// region of the shard buffer) match any worker count. It
 			// bypasses the stage sink — CSessionsSimulated and
 			// CFramesMeasured stay exact-DES books.
-			var sum framesink.Summary
-			sum, buf = fid.runner.RunSession(admitted[i].Config, buf)
+			sum, buf = fid.runner.RunSession(sp.Config, buf)
 			if cfg.Obs != nil {
 				stage.Shard.Inc(obs.CSessionsSurrogate)
 			}
-			results[i] = SessionResult{Spec: admitted[i], Config: admitted[i].Config, Stats: sum}
-			continue
-		}
-		sink.Reset(buf)
-		// The sink chain, innermost first: StatsSink always terminates;
-		// StageSink taps stage timings when counters are on; a
-		// SessionTrace records spans when this session is sampled.
-		var dst pipeline.FrameSink = &sink
-		if cfg.Obs != nil {
-			stage.Shard.Inc(obs.CSessionsSimulated)
-			dst = &stage
-		}
-		var st *obs.SessionTrace
-		if cfg.Tracer != nil && cfg.Tracer.Wants(i) {
-			st = cfg.Tracer.Session(traceRun, i, admitted[i].Name, admitted[i].Config, dst)
-			dst = st
-		}
-		res := pipeline.NewSession(admitted[i].Config).RunSink(dst)
-		if st != nil {
-			cfg.Tracer.Collect(st)
-		}
-		results[i] = SessionResult{
-			Spec:   admitted[i],
-			Config: res.Config,
-			Stats:  sink.Summary(),
-		}
-		buf = sink.Buffer()
-		if fid != nil {
-			// The cross-check pair: this session ran exact above; the
-			// surrogate now predicts the same config, and the report
-			// compares the two books after the pool quiesces. Workers
-			// write disjoint rank rows, indexed by spec position.
+		} else {
+			sink.Reset(buf)
+			// The sink chain, innermost first: StatsSink always
+			// terminates; StageSink taps stage timings when counters are
+			// on; a SessionTrace records spans when this session is
+			// sampled.
+			var dst pipeline.FrameSink = &sink
 			if cfg.Obs != nil {
-				stage.Shard.Inc(obs.CFidelityExact)
+				stage.Shard.Inc(obs.CSessionsSimulated)
+				dst = &stage
 			}
-			r := fid.rank[i]
-			fid.exact[r] = results[i].Stats
-			fid.pred[r], predBuf = fid.runner.RunSession(admitted[i].Config, predBuf)
+			var st *obs.SessionTrace
+			if cfg.Tracer != nil && cfg.Tracer.Wants(i) {
+				st = cfg.Tracer.Session(traceRun, i, sp.Name, sp.Config, dst)
+				dst = st
+			}
+			ran = pipeline.NewSession(sp.Config).RunSink(dst).Config
+			if st != nil {
+				cfg.Tracer.Collect(st)
+			}
+			sum = sink.Summary()
+			buf = sink.Buffer()
+			exactFrames += int64(sum.Frames)
+			if fid != nil {
+				// The cross-check pair: this session ran exact above; the
+				// surrogate now predicts the same config, and the report
+				// compares the two books after the pool quiesces. Workers
+				// write disjoint rank rows, indexed by spec position.
+				if cfg.Obs != nil {
+					stage.Shard.Inc(obs.CFidelityExact)
+				}
+				r := fid.rank[i]
+				fid.exact[r] = sum
+				fid.pred[r], predBuf = fid.runner.RunSession(sp.Config, predBuf)
+			}
+		}
+		tallies[i] = tally{fps: sum.FPS, bytes: sum.AvgBytesSent}
+		if results != nil {
+			results[i] = SessionResult{Spec: sp, Config: ran, Stats: sum}
 		}
 	}
+	return buf, exactFrames
 }
+
+// TotalMeasuredFrames is the run's CFramesMeasured book: the measured
+// frames that streamed through the stage sinks, which are the exact-DES
+// sessions' (surrogate sessions bypass the sinks).
+func (r Result) TotalMeasuredFrames() int64 { return r.exactFrames }
 
 // String implements fmt.Stringer with a one-line fleet summary.
 func (r Result) String() string {

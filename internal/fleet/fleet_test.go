@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -161,7 +162,7 @@ func TestContentionSlowsRemoteChain(t *testing.T) {
 				sr.Spec.Name, sr.Config.RemoteQueueSeconds, loaded.Contention.QueueSeconds)
 		}
 	}
-	fp, lp := free.PercentileMTP(0.95), loaded.PercentileMTP(0.95)
+	fp, lp := free.Summarize().P95MTPMs, loaded.Summarize().P95MTPMs
 	if lp <= fp {
 		t.Errorf("p95 MTP under contention (%v) should exceed uncontended (%v)", lp, fp)
 	}
@@ -309,7 +310,7 @@ func TestOutageFailsOverToLocal(t *testing.T) {
 	if s := outage.Summarize(); s.FailedOver != len(specs) {
 		t.Errorf("summary failed_over = %d, want %d", s.FailedOver, len(specs))
 	}
-	hp, op := healthy.PercentileMTP(0.99), outage.PercentileMTP(0.99)
+	hp, op := healthy.Summarize().P99MTPMs, outage.Summarize().P99MTPMs
 	if op <= hp {
 		t.Errorf("outage p99 (%v) should exceed healthy p99 (%v)", op, hp)
 	}
@@ -345,5 +346,17 @@ func TestSpecsRangeMatchesSpecs(t *testing.T) {
 	}
 	if _, err := mix.SpecsRange(0, 0, pipeline.QVR, 20, 10, 1); err == nil {
 		t.Error("zero count should error")
+	}
+}
+
+// TestSessionNameMatchesSprintf: the minter's name builder must spell
+// every session exactly as the "%s-%03d" format it replaces.
+func TestSessionNameMatchesSprintf(t *testing.T) {
+	for _, tier := range []string{"", "budget-lte", "a-tier-name-longer-than-thirty-two-bytes"} {
+		for _, g := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 12345, 1_000_000, 1<<62 + 3} {
+			if got, want := sessionName(tier, g), fmt.Sprintf("%s-%03d", tier, g); got != want {
+				t.Errorf("sessionName(%q, %d) = %q, want %q", tier, g, got, want)
+			}
+		}
 	}
 }

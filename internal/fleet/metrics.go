@@ -51,26 +51,17 @@ type Summary struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// Summarize rolls the per-session results up into fleet metrics. A
-// lean (Source-driven) run returns its cached roll-up — computed
-// inside the run in this method's exact accumulation order — because
-// the per-session results were never retained.
+// Summarize returns the fleet metrics: the population roll-up Run
+// computed once, plus the run shape and the admission layer's
+// contention report.
 func (r Result) Summarize() Summary {
-	if r.lean != nil {
-		s := r.lean.summary
-		s.Workers = r.Workers
-		s.WallSeconds = r.WallSeconds
-		return s
-	}
-	s := Summary{
-		Sessions:    len(r.Sessions),
-		Dropped:     len(r.Dropped),
-		FailedOver:  r.Contention.FailedOver,
-		Workers:     r.Workers,
-		QueueMs:     r.Contention.QueueSeconds * 1000,
-		Load:        r.Contention.Load,
-		WallSeconds: r.WallSeconds,
-	}
+	s := r.summary
+	s.Dropped = len(r.Dropped)
+	s.FailedOver = r.Contention.FailedOver
+	s.Workers = r.Workers
+	s.QueueMs = r.Contention.QueueSeconds * 1000
+	s.Load = r.Contention.Load
+	s.WallSeconds = r.WallSeconds
 	if g := r.Contention.Grid; g != nil {
 		s.Migrated = g.Migrated
 		// In grid mode the headline load is the busiest site's: the
@@ -84,52 +75,46 @@ func (r Result) Summarize() Summary {
 			}
 		}
 	}
-	if len(r.Sessions) == 0 {
+	return s
+}
+
+// rollUp computes the population half of Summary once, inside Run:
+// sums over the per-session tallies in spec order, then one sort of
+// the concatenated shard buffers. Shards are contiguous index ranges
+// and each buffer holds its sessions' samples, so the merge is the
+// multiset of every measured frame for any worker count, and the
+// nearest-rank percentiles are exact.
+func rollUp(tallies []tally, bufs [][]float64, dropped int) Summary {
+	s := Summary{Sessions: len(tallies)}
+	if len(tallies) == 0 {
 		return s
 	}
 	meeting := 0
-	for _, sr := range r.Sessions {
+	for _, t := range tallies {
 		// A session with zero measured frames contributes nothing but
 		// still counts toward the population: its FPS is zero, so it
 		// misses target like a dropped session would.
-		fps := sr.Stats.FPS
-		s.MeanFPS += fps
-		s.AggregateFPS += fps
-		s.AggregateMBps += fps * sr.Stats.AvgBytesSent / 1e6
-		if fps >= 0.95*pipeline.TargetFPS {
+		s.MeanFPS += t.fps
+		s.AggregateFPS += t.fps
+		s.AggregateMBps += t.fps * t.bytes / 1e6
+		if t.fps >= 0.95*pipeline.TargetFPS {
 			meeting++
 		}
 	}
-	s.MeanFPS /= float64(len(r.Sessions))
-	s.TargetShare = float64(meeting) / float64(len(r.Sessions)+len(r.Dropped))
+	s.MeanFPS /= float64(len(tallies))
+	s.TargetShare = float64(meeting) / float64(len(tallies)+dropped)
 
-	mtps := r.mergedMTP()
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	mtps := make([]float64, 0, total)
+	for _, b := range bufs {
+		mtps = append(mtps, b...)
+	}
+	sort.Float64s(mtps)
 	s.P50MTPMs = stats.NearestRankSorted(mtps, 0.50) * 1000
 	s.P95MTPMs = stats.NearestRankSorted(mtps, 0.95) * 1000
 	s.P99MTPMs = stats.NearestRankSorted(mtps, 0.99) * 1000
 	return s
-}
-
-// mergedMTP concatenates every session's sorted motion-to-photon
-// samples and sorts once: the same multiset the old full-record scan
-// collected, so the nearest-rank percentiles are bit-identical. The
-// merge is sized up front — the only transient the roll-up allocates.
-func (r Result) mergedMTP() []float64 {
-	total := 0
-	for _, sr := range r.Sessions {
-		total += len(sr.Stats.MTPSorted)
-	}
-	mtps := make([]float64, 0, total)
-	for _, sr := range r.Sessions {
-		mtps = append(mtps, sr.Stats.MTPSorted...)
-	}
-	sort.Float64s(mtps)
-	return mtps
-}
-
-// PercentileMTP returns the p-quantile (0 < p <= 1) of motion-to-photon
-// latency across every measured frame in the fleet, in seconds
-// (nearest-rank, the same convention as pipeline.Result.PercentileMTP).
-func (r Result) PercentileMTP(p float64) float64 {
-	return stats.NearestRankSorted(r.mergedMTP(), p)
 }

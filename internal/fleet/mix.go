@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"qvr/internal/motion"
 	"qvr/internal/netsim"
@@ -122,8 +123,8 @@ func (m Mix) SpecsRange(start, n int, design pipeline.Design, frames, warmup int
 // shuffle, app resolution, and the per-tier base config — and returns
 // a pure per-global-index generator: mint(g) is byte-identical to
 // SpecsRange's session g for the same arguments. The closure is safe
-// for concurrent calls, which is what lets the lean fleet engine mint
-// a million-session population transiently inside its worker shards
+// for concurrent calls, which is what lets a Config.Source run mint a
+// million-session population transiently inside its worker shards
 // instead of materializing the spec slice.
 func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) (func(g int) SessionSpec, error) {
 	if len(m.Tiers) == 0 {
@@ -169,9 +170,22 @@ func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) 
 		cfg := bases[g%len(cycle)]
 		cfg.Seed = baseSeed + int64(g)*1009 + 7
 		return SessionSpec{
-			Name:   fmt.Sprintf("%s-%03d", t.Name, g),
+			Name:   sessionName(t.Name, g),
 			Region: t.Region,
 			Config: cfg,
 		}
 	}, nil
+}
+
+// sessionName is fmt.Sprintf("%s-%03d", tier, g) for g >= 0 in one
+// allocation instead of three: a timeline re-mints every carried
+// session each phase.
+func sessionName(tier string, g int) string {
+	var b [32]byte
+	s := append(b[:0], tier...)
+	s = append(s, '-')
+	for d := 100; d > 1 && g < d; d /= 10 {
+		s = append(s, '0')
+	}
+	return string(strconv.AppendInt(s, int64(g), 10))
 }

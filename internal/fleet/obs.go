@@ -16,12 +16,8 @@ import (
 func Expectations(r Result) []obs.Expectation {
 	// CSessionsSimulated and CFramesMeasured are exact-DES books: in a
 	// mixed-fidelity run the surrogate sessions bypass the stage sinks,
-	// so only the stratified exact sample counts; in a lean run the
-	// cached roll-up stands in for the unretained per-session results.
-	simulated := int64(len(r.Sessions))
-	if r.lean != nil {
-		simulated = int64(r.lean.summary.Sessions)
-	}
+	// so only the stratified exact sample counts.
+	simulated := int64(r.summary.Sessions)
 	if f := r.Fidelity; f != nil {
 		simulated = int64(f.ExactSessions)
 	}

@@ -76,15 +76,27 @@ func TestShardingInvariance(t *testing.T) {
 	}
 }
 
+// rolledUp builds the Result Run would return for the given sessions:
+// their tallies and sample regions through rollUp, one buffer each.
+func rolledUp(sessions []SessionResult) Result {
+	tallies := make([]tally, len(sessions))
+	bufs := make([][]float64, len(sessions))
+	for i, sr := range sessions {
+		tallies[i] = tally{fps: sr.Stats.FPS, bytes: sr.Stats.AvgBytesSent}
+		bufs[i] = sr.Stats.MTPSorted
+	}
+	return Result{Sessions: sessions, summary: rollUp(tallies, bufs, 0)}
+}
+
 // TestSummarizeZeroFrameSession: a session that measured no frames
 // (artificially constructed — the config floor prevents it in
 // practice) must flow through the windowed roll-up as a zero-FPS
 // member, never as NaN.
 func TestSummarizeZeroFrameSession(t *testing.T) {
 	live := Run(Config{Specs: testSpecs(t, 2)})
-	r := Result{Sessions: append(live.Sessions, SessionResult{
+	r := rolledUp(append(live.Sessions, SessionResult{
 		Spec: SessionSpec{Name: "empty"},
-	})}
+	}))
 	s := r.Summarize()
 	finite(t, "zero-frame-session", s)
 	if s.Sessions != 3 {
@@ -99,7 +111,7 @@ func TestSummarizeZeroFrameSession(t *testing.T) {
 	}
 
 	// An all-empty fleet: zero everywhere, still finite.
-	empty := Result{Sessions: []SessionResult{{Spec: SessionSpec{Name: "a"}}, {Spec: SessionSpec{Name: "b"}}}}
+	empty := rolledUp([]SessionResult{{Spec: SessionSpec{Name: "a"}}, {Spec: SessionSpec{Name: "b"}}})
 	es := empty.Summarize()
 	finite(t, "all-zero-frame", es)
 	if es.P99MTPMs != 0 || es.MeanFPS != 0 || es.TargetShare != 0 {

@@ -66,42 +66,41 @@ func (s Summary) PercentileMTP(p float64) float64 {
 // adopting a caller-owned sample buffer so a worker can serve many
 // sessions from one allocation.
 type StatsSink struct {
-	acc pipeline.FrameStats
-	mtp []float64
+	acc   pipeline.FrameStats
+	buf   []float64
+	start int
 }
 
 // Observe implements pipeline.FrameSink.
 func (s *StatsSink) Observe(f pipeline.FrameRecord) {
 	s.acc.Observe(f)
-	s.mtp = append(s.mtp, f.MTPSeconds)
+	s.buf = append(s.buf, f.MTPSeconds)
 }
 
-// Reset clears the sink for a new session, appending future samples
-// to buf (which may be nil). The fleet's worker loop passes the tail
-// of a shard-sized buffer here: each session's samples land in their
-// own region of one pre-sized allocation.
+// Reset clears the sink for a new session that appends its samples to
+// buf (which may be nil). The fleet's worker loop passes its
+// shard-sized buffer here: each session's samples land in their own
+// region of one pre-sized allocation.
 func (s *StatsSink) Reset(buf []float64) {
 	s.acc.Reset()
-	s.mtp = buf[len(buf):]
+	s.buf, s.start = buf, len(buf)
 }
 
-// Buffer returns only the current session's sample region: the
-// samples observed since the last Reset, which start where the buf
-// given to that Reset ended and share its backing array until an
-// append outgrows it. It does not include earlier sessions. Passed to
-// the next Reset, it starts that session right after this region; to
-// collect a shard's samples in one slice, extend the caller's buffer
-// with append(buf, sink.Buffer()...) instead.
-func (s *StatsSink) Buffer() []float64 { return s.mtp }
+// Buffer returns the buf given to Reset extended by this session's
+// samples: buf in, buf extended out, the same contract as
+// fleet.SessionRunner.RunSession. Passed to the next Reset, it starts
+// that session right after this one.
+func (s *StatsSink) Buffer() []float64 { return s.buf }
 
-// Summary finalizes the session: it sorts the sample region in place
-// and returns the compact result. The returned Summary aliases the
-// sink's sample region, which is exactly why Reset starts the next
-// session *after* it rather than on top of it; the slice is
+// Summary finalizes the session: it sorts the session's sample region
+// in place and returns the compact result. The returned Summary
+// aliases that region, which is why the next Reset takes Buffer() and
+// starts after it rather than on top of it; the slice is
 // capacity-clipped so an append through the Summary can never bleed
 // into a neighbouring session's region.
 func (s *StatsSink) Summary() Summary {
-	sort.Float64s(s.mtp)
+	mtp := s.buf[s.start:len(s.buf):len(s.buf)]
+	sort.Float64s(mtp)
 	return Summary{
 		Frames:                 s.acc.Frames,
 		AvgMTPSeconds:          s.acc.AvgMTPSeconds(),
@@ -110,7 +109,7 @@ func (s *StatsSink) Summary() Summary {
 		AvgE1:                  s.acc.AvgE1(),
 		AvgResolutionReduction: s.acc.AvgResolutionReduction(),
 		AvgEnergyJoules:        s.acc.AvgEnergyJoules(),
-		MTPSorted:              s.mtp[:len(s.mtp):len(s.mtp)],
+		MTPSorted:              mtp,
 	}
 }
 

@@ -130,7 +130,9 @@ func TestSinkOrderAndWarmup(t *testing.T) {
 
 // TestStatsSinkBufferReuse: the worker-local reuse pattern — one
 // buffer serving consecutive sessions — must give each session its
-// own region and identical summaries to fresh-buffer runs.
+// own region and identical summaries to fresh-buffer runs. Buffer is
+// the buffer given to Reset extended by the session's samples, so
+// after the loop it holds every session's samples in one allocation.
 func TestStatsSinkBufferReuse(t *testing.T) {
 	cfgs := configs(t)[:4]
 	total := 0
@@ -140,11 +142,18 @@ func TestStatsSinkBufferReuse(t *testing.T) {
 	buf := make([]float64, 0, total)
 	var sink StatsSink
 	var shared []Summary
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
+		prior := len(buf)
 		sink.Reset(buf)
 		pipeline.NewSession(cfg).RunSink(&sink)
 		shared = append(shared, sink.Summary())
 		buf = sink.Buffer()
+		if len(buf) != prior+cfg.Frames {
+			t.Fatalf("session %d: Buffer holds %d samples, want %d prior + %d", i, len(buf), prior, cfg.Frames)
+		}
+	}
+	if cap(buf) != total {
+		t.Errorf("shared buffer reallocated: cap %d, want %d", cap(buf), total)
 	}
 	for i, cfg := range cfgs {
 		var fresh StatsSink

@@ -321,9 +321,9 @@ sessions = 20000
 
 	// giga-steady: the mixed-fidelity scale proof. A million active
 	// sessions — two orders past mega-steady — made affordable by the
-	// [fidelity] section: the lean engine mints specs transiently
-	// inside the workers, the calibrated analytic surrogate serves the
-	// bulk, and a 0.2% stratified exact-DES sample refutes the
+	// [fidelity] section: lean keeps no per-session results, so each
+	// phase mints its specs transiently inside the fleet workers, the
+	// calibrated analytic surrogate serves the bulk, and a 0.2% stratified exact-DES sample refutes the
 	// surrogate per metric every phase (the run fails loudly if any
 	// error bound is exceeded). Tiny frame counts keep even a million
 	// sessions inside a CI smoke budget.

@@ -155,9 +155,9 @@ func TestExactOnlyStripsSurrogate(t *testing.T) {
 	}
 }
 
-// leanEquivScenario is a plain growing timeline declared twice over:
-// the lean transient-spec engine and the materialized-spec engine
-// must agree on it to the byte.
+// leanEquivScenario is a plain growing timeline on the fast path: the
+// one table row that keeps the surrogate on, so the fidelity reports
+// are compared too.
 const leanEquivScenario = `
 [scenario]
 name   = lean-equiv
@@ -181,41 +181,84 @@ duration = 30
 sessions = 90
 `
 
-// TestLeanTimelineMatchesStandard: the million-session mode is an
-// engine swap, not a science change. The same timeline run lean and
-// standard must produce identical phase summaries, roll-up, and
-// fidelity reports. (This is the scenario-level regression test for
-// the lean shard-buffer truncation bug.)
+// withLean returns sc with its [fidelity] lean key set to lean,
+// declaring a section when sc has none (ExactOnly keeps its surrogate
+// off either way).
+func withLean(sc Scenario, lean bool) Scenario {
+	f := Fidelity{ExactFraction: 0.25}
+	if sc.Fidelity != nil {
+		f = *sc.Fidelity
+	}
+	f.Lean = lean
+	sc.Fidelity = &f
+	return sc
+}
+
+// TestLeanTimelineMatchesStandard: lean only drops the per-session
+// results, it never changes the science. Every built-in (grid,
+// admission, autoscale, per-phase mix and net-scale included) run
+// lean and standard must produce byte-identical phase summaries,
+// roll-up, autoscale report and fidelity reports. The built-ins run
+// exact-only; leanEquivScenario keeps the surrogate on. mega-steady
+// is left to the scale smoke, and giga-steady runs at a ten-thousandth
+// of its population so its exact-only run stays small.
 func TestLeanTimelineMatchesStandard(t *testing.T) {
-	leanSc, err := ParseString(leanEquivScenario)
+	equiv, err := ParseString(leanEquivScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdSc := leanSc
-	f := *leanSc.Fidelity
-	f.Lean = false
-	stdSc.Fidelity = &f
+	type row struct {
+		name string
+		sc   Scenario
+		opt  Options
+	}
+	rows := []row{{"lean-equiv", equiv, tiny}}
+	exact := tiny
+	exact.ExactOnly = true
+	for _, name := range BuiltinNames() {
+		if name == "mega-steady" {
+			continue
+		}
+		sc := mustBuiltin(t, name)
+		if name == "giga-steady" {
+			sc.Phases = append([]Phase(nil), sc.Phases...)
+			for i := range sc.Phases {
+				sc.Phases[i].Sessions /= 10000
+			}
+		}
+		rows = append(rows, row{name, sc, exact})
+	}
 
-	report := func(sc Scenario) []byte {
-		r := mustRun(t, sc, tiny)
+	report := func(sc Scenario, opt Options) []byte {
+		r := mustRun(t, sc, opt)
 		sums, roll := phaseDigest(r)
 		fids := make([]*fleet.FidelityReport, len(r.Phases))
 		for i, p := range r.Phases {
 			fids[i] = p.Fleet.Fidelity
+			kept, lean := len(p.Fleet.Sessions), sc.Fidelity.Lean
+			if lean && kept != 0 || !lean && kept+len(p.Fleet.Dropped) != p.Active {
+				t.Errorf("%s phase %q: lean=%v kept %d of %d sessions", sc.Name, p.Phase.Name, lean, kept, p.Active)
+			}
 		}
 		blob, err := json.Marshal(struct {
-			Sums []fleet.PhaseSummary
-			Roll fleet.Rollup
-			Fids []*fleet.FidelityReport
-		}{sums, roll, fids})
+			Sums      []fleet.PhaseSummary
+			Roll      fleet.Rollup
+			Autoscale *fleet.AutoscaleReport
+			Fids      []*fleet.FidelityReport
+		}{sums, roll, r.Autoscale, fids})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return blob
 	}
-	lean, std := report(leanSc), report(stdSc)
-	if !bytes.Equal(lean, std) {
-		t.Errorf("lean engine diverged from standard engine:\n%s\nvs\n%s", lean, std)
+	for _, rw := range rows {
+		t.Run(rw.name, func(t *testing.T) {
+			lean := report(withLean(rw.sc, true), rw.opt)
+			std := report(withLean(rw.sc, false), rw.opt)
+			if !bytes.Equal(lean, std) {
+				t.Errorf("lean run diverged from standard run:\n%s\nvs\n%s", lean, std)
+			}
+		})
 	}
 }
 
@@ -256,7 +299,7 @@ func TestFidelityBuiltinNamesAnnotatesFastPath(t *testing.T) {
 		if name == "giga-steady" {
 			found = true
 			if !sc.Fidelity.Lean {
-				t.Error("giga-steady must run the lean engine")
+				t.Error("giga-steady must keep no per-session results (lean)")
 			}
 		}
 	}

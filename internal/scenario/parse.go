@@ -87,7 +87,7 @@ import (
 //	[fidelity]
 //	exact-fraction  = 0.05 # per-class exact-DES share, in (0,1]
 //	calibration     = 3    # exact runs per class for the exemplar table
-//	lean            = true # lean engine: transient specs, million-session mode
+//	lean            = true # keep no per-session results: million-session mode
 //	tolerance.mtp   = 0.15 # per-metric error budgets (fps/bytes/share too)
 //
 // Phases execute in file order. Unknown keys are errors: a typo in a

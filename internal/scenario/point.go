@@ -62,52 +62,37 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 		warmup = *opt.WarmupOverride
 	}
 
+	// A point is phase-less: global indices 0..n-1, no seed shift, so
+	// mint(i) is mix.Specs's session i, minted inside the workers.
 	mix, _ := fleet.MixByName(sc.Mix) // Validate checked it
-	var fc fleet.Config
-	if sc.Fidelity != nil && sc.Fidelity.Lean {
-		// A lean point is phase-less: global indices 0..n-1, no seed
-		// shift, so mint(i) is byte-identical to mix.Specs's session i
-		// without ever materializing the slice. Validate guarantees the
-		// layers lean excludes (grid, admission, cells) are off.
-		mint, err := mix.Minter(sc.Design, frames, warmup, sc.Seed)
-		if err != nil {
-			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		fc = fleet.Config{Workers: opt.Workers, Source: &fleet.SpecSource{
-			N: n, MeasuredFrames: frames, At: mint,
-		}}
-		fc.Obs = opt.Obs
-	} else {
-		specs, err := mix.Specs(n, sc.Design, frames, warmup, sc.Seed)
-		if err != nil {
-			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-
-		// Grid mode gets a fresh scheduler per point: capacity is a
-		// steady-state question, so placements start from scratch rather
-		// than inheriting another point's stickiness.
-		var grid *edge.Grid
-		if len(sc.Topology.Clusters) > 0 {
-			policy, _ := edge.PolicyByName(sc.Placement)
-			grid, err = edge.NewGrid(sc.Topology, policy)
-			if err != nil {
-				return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-			}
-			if sc.MigrationPenaltyMs >= 0 {
-				grid.HandoffSeconds = sc.MigrationPenaltyMs / 1000
-			}
-			grid.SetObs(opt.Obs)
-			if err := grid.BeginPhase(nil, nil); err != nil {
-				return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-			}
-		}
-
-		fc = fleetConfig(sc, specs, opt.Workers, grid, sc.GPUs)
-		fc.Obs = opt.Obs
-		fc.Tracer = opt.Tracer
-		fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
+	mint, err := mix.Minter(sc.Design, frames, warmup, sc.Seed)
+	if err != nil {
+		return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-	fc.Fidelity = fidelityConfig(sc, opt)
+
+	// Grid mode gets a fresh scheduler per point: capacity is a
+	// steady-state question, so placements start from scratch rather
+	// than inheriting another point's stickiness.
+	var grid *edge.Grid
+	if len(sc.Topology.Clusters) > 0 {
+		policy, _ := edge.PolicyByName(sc.Placement)
+		grid, err = edge.NewGrid(sc.Topology, policy)
+		if err != nil {
+			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		}
+		if sc.MigrationPenaltyMs >= 0 {
+			grid.HandoffSeconds = sc.MigrationPenaltyMs / 1000
+		}
+		grid.SetObs(opt.Obs)
+		if err := grid.BeginPhase(nil, nil); err != nil {
+			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
+		}
+	}
+
+	// PointResult exposes no sessions, so the run keeps none.
+	fc := fleetConfig(sc, opt, grid, sc.GPUs)
+	fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
+	fc.Source = &fleet.SpecSource{N: n, MeasuredFrames: mint(0).Config.MeasuredFrames(), At: mint}
 	r := fleet.Run(fc)
 	if fr := r.Fidelity; fr != nil {
 		if err := obs.RefuteSurrogate(fr.Checks); err != nil {
@@ -133,12 +118,19 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 }
 
 // fleetConfig builds the fleet run configuration both the timeline
-// executor and the single-point runner use: the grid owns every remote
-// binding when present; otherwise a non-negative gpus count enables
-// the shared-cluster admission layer (0 = total outage, everyone fails
-// over); gpus < 0 leaves admission off.
-func fleetConfig(sc Scenario, specs []fleet.SessionSpec, workers int, grid *edge.Grid, gpus int) fleet.Config {
-	fc := fleet.Config{Specs: specs, Workers: workers, CellCapacity: sc.CellCapacity}
+// executor and the single-point runner use, minus the population: the
+// grid owns every remote binding when present; otherwise a
+// non-negative gpus count enables the shared-cluster admission layer
+// (0 = total outage, everyone fails over); gpus < 0 leaves admission
+// off.
+func fleetConfig(sc Scenario, opt Options, grid *edge.Grid, gpus int) fleet.Config {
+	fc := fleet.Config{
+		Workers:      opt.Workers,
+		CellCapacity: sc.CellCapacity,
+		Obs:          opt.Obs,
+		Tracer:       opt.Tracer,
+		Fidelity:     fidelityConfig(sc, opt),
+	}
 	switch {
 	case grid != nil:
 		fc.Placer = grid

@@ -9,6 +9,7 @@ import (
 	"qvr/internal/fleet"
 	"qvr/internal/obs"
 	"qvr/internal/obs/series"
+	"qvr/internal/pipeline"
 	"qvr/internal/surrogate"
 )
 
@@ -39,8 +40,8 @@ type Options struct {
 	// ExactOnly disables the scenario's [fidelity] fast path for this
 	// run: every session goes through the exact DES. The capacity
 	// prober uses it to confirm a fast-path knee exactly. A lean
-	// scenario stays on the lean engine — ExactOnly strips only the
-	// surrogate, not the transient-spec population.
+	// scenario still keeps no per-session results — ExactOnly strips
+	// only the surrogate.
 	ExactOnly bool
 }
 
@@ -148,71 +149,35 @@ func Run(sc Scenario, opt Options) (Result, error) {
 		ctl = opt.Obs.Ctl()
 	}
 
-	// A lean timeline never materializes its population: departures
-	// always take the oldest sessions, so with the layers lean excludes
-	// (per-phase mixes, grid, admission) the active population is
-	// always the contiguous global-index window [lo, next), and every
-	// phase's specs can be minted transiently inside the fleet workers.
-	lean := sc.Fidelity != nil && sc.Fidelity.Lean
-	var mint func(int) fleet.SessionSpec
-	if lean {
-		mix, _ := fleet.MixByName(sc.Mix) // Validate checked it
-		var err error
-		mint, err = mix.Minter(sc.Design, frames, warmup, sc.Seed)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-	}
-
 	var (
-		active    []fleet.SessionSpec // carried population, oldest first
-		lo        int                 // lean: oldest live global index
-		next      int                 // global arrival counter
-		now       float64             // scenario clock
+		pop       population // carried population, oldest first
+		next      int        // global arrival counter
+		now       float64    // scenario clock
 		summaries []fleet.PhaseSummary
 	)
 	for pi, ph := range sc.Phases {
 		departed := 0
-		activeN := func() int {
-			if lean {
-				return next - lo
-			}
-			return len(active)
-		}
 
 		// Population edits, in a fixed order so the timeline is
 		// deterministic: explicit departures, churn, arrivals, then
 		// the absolute target. Departing sessions are always the
-		// oldest — the morning cohort logs off first. The lean branch
-		// runs the same arithmetic on the [lo, next) window.
-		if d := min(ph.Depart, activeN()); d > 0 {
-			if lean {
-				lo += d
-			} else {
-				active = active[d:]
-			}
+		// oldest — the morning cohort logs off first.
+		if d := min(ph.Depart, pop.size()); d > 0 {
+			pop.pop(d)
 			departed += d
 		}
-		churned := int(math.Floor(ph.Churn * float64(activeN())))
+		churned := int(math.Floor(ph.Churn * float64(pop.size())))
 		if churned > 0 {
-			if lean {
-				lo += churned
-			} else {
-				active = active[churned:]
-			}
+			pop.pop(churned)
 			departed += churned
 		}
 		arrive := ph.Arrive + int(math.Round(ph.ArrivalRate*ph.DurationSeconds)) + churned
 		if t := ph.Sessions; t >= 0 {
-			switch have := activeN() + arrive; {
+			switch have := pop.size() + arrive; {
 			case have > t:
 				shed := have - t
-				if fromActive := min(shed, activeN()); fromActive > 0 {
-					if lean {
-						lo += fromActive
-					} else {
-						active = active[fromActive:]
-					}
+				if fromActive := min(shed, pop.size()); fromActive > 0 {
+					pop.pop(fromActive)
 					departed += fromActive
 					shed -= fromActive
 				}
@@ -222,61 +187,41 @@ func Run(sc Scenario, opt Options) (Result, error) {
 			}
 		}
 		if arrive > 0 {
-			if lean {
-				next += arrive
-			} else {
-				mixName := sc.Mix
-				if ph.Mix != "" {
-					mixName = ph.Mix
-				}
-				mix, _ := fleet.MixByName(mixName) // Validate checked it
-				specs, err := mix.SpecsRange(next, arrive, sc.Design, frames, warmup, sc.Seed)
-				if err != nil {
-					return Result{}, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)
-				}
-				next += arrive
-				active = append(active, specs...)
+			mixName := sc.Mix
+			if ph.Mix != "" {
+				mixName = ph.Mix
 			}
+			mix, _ := fleet.MixByName(mixName) // Validate checked it
+			mint, err := mix.Minter(sc.Design, frames, warmup, sc.Seed)
+			if err != nil {
+				return Result{}, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)
+			}
+			pop = append(pop, window{mint: mint, lo: next, hi: next + arrive})
+			next += arrive
 		}
 
 		// Phase view of the carried population: same identities, a
-		// phase-derived seed, this phase's frame budget, and any
-		// cell derates. The carried specs themselves stay pristine —
-		// a brownout ends when its phase does. The lean view applies
-		// the identical transform inside the At closure, so session
-		// lo+i is byte-identical to the materialized runSpecs[i].
+		// phase-derived seed, this phase's frame budget, and any cell
+		// derates, applied as each spec is minted. The population
+		// itself stays pristine — a brownout ends when its phase does.
 		phFrames := frames
 		if ph.Frames > 0 && opt.FramesOverride <= 0 {
 			phFrames = ph.Frames
 		}
-		var runSpecs []fleet.SessionSpec
-		var source *fleet.SpecSource
-		if lean {
-			seedShift := int64(pi+1) * phaseSeedStride
-			phLo := lo
-			source = &fleet.SpecSource{
-				N:              next - lo,
-				MeasuredFrames: phFrames,
-				At: func(i int) fleet.SessionSpec {
-					sp := mint(phLo + i)
-					sp.Config.Seed += seedShift
-					sp.Config.Frames = phFrames
-					sp.Config.Warmup = warmup
-					return sp
-				},
-			}
-		} else {
-			runSpecs = make([]fleet.SessionSpec, len(active))
-			for i, sp := range active {
-				cfg := sp.Config
-				cfg.Seed += int64(pi+1) * phaseSeedStride
-				cfg.Frames = phFrames
-				cfg.Warmup = warmup
-				if f, ok := ph.NetScale[cfg.Network.Name]; ok {
-					cfg.Network = cfg.Network.Scaled(f)
+		seedShift := int64(pi+1) * phaseSeedStride
+		src := &fleet.SpecSource{
+			N:              pop.size(),
+			MeasuredFrames: pipeline.Config{Frames: phFrames}.MeasuredFrames(),
+			At: func(i int) fleet.SessionSpec {
+				sp := pop.at(i)
+				sp.Config.Seed += seedShift
+				sp.Config.Frames = phFrames
+				sp.Config.Warmup = warmup
+				if f, ok := ph.NetScale[sp.Config.Network.Name]; ok {
+					sp.Config.Network = sp.Config.Network.Scaled(f)
 				}
-				runSpecs[i] = fleet.SessionSpec{Name: sp.Name, Region: sp.Region, Config: cfg}
-			}
+				return sp
+			},
 		}
 
 		if grid != nil {
@@ -300,17 +245,16 @@ func Run(sc Scenario, opt Options) (Result, error) {
 			// recorder keys its records on.
 			opt.Tracer.MarkPhase(ph.Name, now)
 		}
-		fc := fleetConfig(sc, runSpecs, opt.Workers, grid, phaseGPUs(sc, ph))
-		fc.Obs = opt.Obs
-		if lean {
-			// The lean engine keeps no per-session results to trace;
-			// the tracer still gets its phase marks above.
-			fc.Source = source
+		fc := fleetConfig(sc, opt, grid, phaseGPUs(sc, ph))
+		fc.TraceLabel = ph.Name
+		if sc.Fidelity != nil && sc.Fidelity.Lean {
+			fc.Source = src
 		} else {
-			fc.Tracer = opt.Tracer
-			fc.TraceLabel = ph.Name
+			fc.Specs = make([]fleet.SessionSpec, src.N)
+			for i := range fc.Specs {
+				fc.Specs[i] = src.At(i)
+			}
 		}
-		fc.Fidelity = fidelityConfig(sc, opt)
 		r := fleet.Run(fc)
 		if fr := r.Fidelity; fr != nil {
 			// Refute-and-refine, the failing half: a surrogate that
@@ -337,7 +281,7 @@ func Run(sc Scenario, opt Options) (Result, error) {
 			Phase:    ph,
 			Arrived:  arrive,
 			Departed: departed,
-			Active:   activeN(),
+			Active:   pop.size(),
 			Fleet:    r,
 			Summary:  psum,
 		}
@@ -453,4 +397,46 @@ func phaseGPUs(sc Scenario, ph Phase) int {
 		return ph.GPUs
 	}
 	return sc.GPUs
+}
+
+// population is the active session set as a FIFO of global-index
+// windows, oldest first: one per arrival batch. Departures always take
+// the oldest sessions and arrivals take the next global indices, so
+// the windows tile one contiguous range.
+type population []window
+
+// window is the global indices [lo, hi), minted by the mix the batch
+// arrived with.
+type window struct {
+	mint   func(int) fleet.SessionSpec
+	lo, hi int
+}
+
+func (p population) size() int {
+	if len(p) == 0 {
+		return 0
+	}
+	return p[len(p)-1].hi - p[0].lo
+}
+
+// pop removes the k oldest sessions.
+func (p *population) pop(k int) {
+	for k > 0 {
+		w := &(*p)[0]
+		d := min(k, w.hi-w.lo)
+		w.lo += d
+		k -= d
+		if w.lo == w.hi {
+			*p = (*p)[1:]
+		}
+	}
+}
+
+// at mints the i-th oldest active session.
+func (p population) at(i int) fleet.SessionSpec {
+	g, k := p[0].lo+i, 0
+	for k < len(p)-1 && g >= p[k].hi {
+		k++
+	}
+	return p[k].mint(g)
 }

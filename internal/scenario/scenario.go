@@ -112,12 +112,10 @@ type Fidelity struct {
 	// Calibration is the exact runs per calibration class that build
 	// the surrogate's exemplar table (calibration key); 0 = default.
 	Calibration int
-	// Lean switches the timeline to the lean fleet engine: specs are
-	// minted per index inside the workers and per-session retained
-	// state shrinks to two floats — the million-session mode. Lean
-	// timelines must be plain (no grid, no admission cluster, no cell
-	// sharing, no autoscale, no per-phase mix/gpus/net-scale): those
-	// layers need the materialized population.
+	// Lean keeps no per-session results: each phase's fleet run mints
+	// its specs per index inside the workers and retains only the
+	// roll-up, so PhaseResult.Fleet.Sessions stays empty — the
+	// million-session mode. The science is the same either way.
 	Lean bool
 	// Tolerance is the per-metric error budget (tolerance.* keys);
 	// zero fields take the fleet defaults.
@@ -260,34 +258,6 @@ func (sc Scenario) Validate() error {
 			{"tolerance.bytes", f.Tolerance.Bytes}, {"tolerance.share", f.Tolerance.Share}} {
 			if !(t.v >= 0 && !math.IsInf(t.v, 0)) {
 				return fmt.Errorf("scenario %q: [fidelity] %s %v must be non-negative and finite", sc.Name, t.key, t.v)
-			}
-		}
-		if f.Lean {
-			// Lean mode's contiguous-window population arithmetic and
-			// transient spec minting hold only for plain uncontended
-			// timelines; every exclusion here names a layer that needs
-			// the materialized spec slice.
-			switch {
-			case gridMode:
-				return fmt.Errorf("scenario %q: [fidelity] lean and [cluster] sections are mutually exclusive", sc.Name)
-			case sc.GPUs >= 0:
-				return fmt.Errorf("scenario %q: [fidelity] lean needs the admission layer off (omit gpus)", sc.Name)
-			case sc.CellCapacity > 0:
-				return fmt.Errorf("scenario %q: [fidelity] lean and cell-capacity are mutually exclusive", sc.Name)
-			case sc.Autoscale != nil:
-				return fmt.Errorf("scenario %q: [fidelity] lean and autoscale.* are mutually exclusive", sc.Name)
-			}
-			for i, ph := range sc.Phases {
-				where := fmt.Sprintf("scenario %q phase %d (%q)", sc.Name, i, ph.Name)
-				if ph.Mix != "" {
-					return fmt.Errorf("%s: per-phase mix needs the materialized population ([fidelity] lean off)", where)
-				}
-				if ph.GPUs >= 0 {
-					return fmt.Errorf("%s: gpus needs the admission layer ([fidelity] lean off)", where)
-				}
-				if len(ph.NetScale) > 0 {
-					return fmt.Errorf("%s: net-scale needs the materialized population ([fidelity] lean off)", where)
-				}
 			}
 		}
 	}

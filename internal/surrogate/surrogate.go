@@ -92,10 +92,9 @@ func (m *Model) RunSession(cfg pipeline.Config, buf []float64) (framesink.Summar
 		var sink framesink.StatsSink
 		sink.Reset(buf)
 		pipeline.NewSession(cfg).RunSink(&sink)
-		// The contract returns buf extended, not the session's own
-		// region (sink.Buffer()): lean shards treat the return as the
-		// accumulated sample buffer.
-		return sink.Summary(), append(buf, sink.Buffer()...)
+		// StatsSink keeps the same contract: Buffer is buf extended by
+		// this session's samples.
+		return sink.Summary(), sink.Buffer()
 	}
 	rng := sm64(cfg.Seed)
 	ex := exs[int(rng.next()%uint64(len(exs)))]

@@ -2,6 +2,7 @@ package surrogate_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"qvr/internal/fleet"
@@ -106,6 +107,53 @@ func TestRunSessionExtendsBuffer(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sum.MTPSorted, buf[len(prefix):]) {
 			t.Errorf("%s: summary region does not alias the buffer tail", tc.name)
+		}
+	}
+}
+
+// TestBufferContract pins the one sample-buffer contract the fleet's
+// shard loop relies on: framesink.StatsSink (via Reset/Buffer) and
+// Model.RunSession (calibrated and uncalibrated) take turns on one
+// buffer, and each returns the buffer it was given extended by exactly
+// the session's measured frames, with the Summary's samples being
+// precisely that new region.
+func TestBufferContract(t *testing.T) {
+	cfgs := testConfigs(t, 6)
+	m := surrogate.New()
+	m.Calibrate([]pipeline.Config{cfgs[1], cfgs[3]}) // cfgs[5]'s class stays uncalibrated
+	var buf []float64
+	var sums []framesink.Summary
+	var regions [][]float64
+	for i, cfg := range cfgs {
+		in := append([]float64(nil), buf...)
+		var sum framesink.Summary
+		if i%2 == 0 {
+			var sink framesink.StatsSink
+			sink.Reset(buf)
+			pipeline.NewSession(cfg).RunSink(&sink)
+			sum = sink.Summary()
+			buf = sink.Buffer()
+		} else {
+			sum, buf = m.RunSession(cfg, buf)
+		}
+		if len(buf) != len(in)+cfg.MeasuredFrames() {
+			t.Fatalf("session %d: buffer holds %d samples, want %d prior + %d measured",
+				i, len(buf), len(in), cfg.MeasuredFrames())
+		}
+		if !slices.Equal(buf[:len(in)], in) {
+			t.Fatalf("session %d: earlier samples changed", i)
+		}
+		region := buf[len(in):]
+		if len(sum.MTPSorted) != len(region) || cap(sum.MTPSorted) != len(region) ||
+			(len(region) > 0 && &sum.MTPSorted[0] != &region[0]) {
+			t.Fatalf("session %d: Summary.MTPSorted is not the session's capacity-clipped buffer region", i)
+		}
+		sums = append(sums, sum)
+		regions = append(regions, append([]float64(nil), region...))
+	}
+	for i, sum := range sums {
+		if !slices.Equal(sum.MTPSorted, regions[i]) {
+			t.Errorf("session %d: a later session overwrote its samples", i)
 		}
 	}
 }
