@@ -81,15 +81,26 @@ func TestFidelitySplitBooks(t *testing.T) {
 	}
 }
 
-// TestSourceMatchesSpecs: a Source-driven run is the Specs run minus
-// the per-session results. For every layer — exact, mixed fidelity,
-// admission with drops, cell sharing, tracing and counters — the same
-// population through either field must give the same summary,
-// contention report, fidelity report, frame books, traces and
-// counters, and the Source run must keep no sessions. (The exact case
-// is also the regression test for the shard-buffer truncation bug,
-// where a streamed shard's merged percentiles collapsed to its last
-// session's samples.)
+// TestLeanExactOnlyMatchesStandard: a Source-driven run with no
+// fidelity config runs every session on the exact simulator and must
+// reproduce the Specs run exactly. This is the regression test for
+// the shard-buffer truncation bug, where a streamed shard's merged
+// percentiles silently collapsed to its last session's samples.
+func TestLeanExactOnlyMatchesStandard(t *testing.T) {
+	checkSourceMatchesSpecs(t, testSpecs(t, 24), func() Config { return Config{Workers: 3} })
+}
+
+// TestLeanFidelityMatchesStandard: the same equivalence on the mixed
+// path — identical population and fidelity config must yield the same
+// summary AND the same cross-check report through either field.
+func TestLeanFidelityMatchesStandard(t *testing.T) {
+	checkSourceMatchesSpecs(t, testSpecs(t, 36), func() Config {
+		return Config{Workers: 3, Fidelity: mixedFidelity()}
+	})
+}
+
+// TestSourceMatchesSpecs extends the equivalence to the remaining
+// layers: admission with drops, cell sharing, tracing and counters.
 func TestSourceMatchesSpecs(t *testing.T) {
 	specs := testSpecs(t, 36)
 	cluster := gpu.DefaultRemote().WithGPUs(2)
@@ -97,8 +108,6 @@ func TestSourceMatchesSpecs(t *testing.T) {
 		name string
 		cfg  func() Config
 	}{
-		{"exact", func() Config { return Config{Workers: 3} }},
-		{"fidelity", func() Config { return Config{Workers: 3, Fidelity: mixedFidelity()} }},
 		{"admission", func() Config {
 			return Config{Workers: 3, Admission: Admission{Cluster: cluster}, Obs: obs.New()}
 		}},
@@ -107,49 +116,57 @@ func TestSourceMatchesSpecs(t *testing.T) {
 			return Config{Workers: 3, Tracer: obs.NewTracer(5), TraceLabel: "t", Obs: obs.New()}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			specCfg, srcCfg := tc.cfg(), tc.cfg()
-			specCfg.Specs = specs
-			srcCfg.Source = &SpecSource{
-				N:              len(specs),
-				MeasuredFrames: specs[0].Config.MeasuredFrames(),
-				At:             func(i int) SessionSpec { return specs[i] },
-			}
-			specRun, srcRun := Run(specCfg), Run(srcCfg)
-			if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
-				t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
-			}
-			if len(srcRun.Sessions) != 0 {
-				t.Errorf("Source run kept %d sessions, want none", len(srcRun.Sessions))
-			}
-			specSum, srcSum := specRun.Summarize(), srcRun.Summarize()
-			specSum.Workers, specSum.WallSeconds = 0, 0
-			srcSum.Workers, srcSum.WallSeconds = 0, 0
-			if !reflect.DeepEqual(specSum, srcSum) {
-				t.Errorf("summaries diverged:\n%+v\nvs\n%+v", specSum, srcSum)
-			}
-			if !reflect.DeepEqual(specRun.Contention, srcRun.Contention) || !reflect.DeepEqual(specRun.Dropped, srcRun.Dropped) {
-				t.Errorf("contention diverged:\n%+v %d dropped\nvs\n%+v %d dropped",
-					specRun.Contention, len(specRun.Dropped), srcRun.Contention, len(srcRun.Dropped))
-			}
-			if !reflect.DeepEqual(specRun.Fidelity, srcRun.Fidelity) {
-				t.Errorf("fidelity reports diverged:\n%+v\nvs\n%+v", specRun.Fidelity, srcRun.Fidelity)
-			}
-			if specRun.TotalMeasuredFrames() != srcRun.TotalMeasuredFrames() || specRun.TotalMeasuredFrames() <= 0 {
-				t.Errorf("measured frames %d vs %d", specRun.TotalMeasuredFrames(), srcRun.TotalMeasuredFrames())
-			}
-			if specCfg.Tracer != nil && !reflect.DeepEqual(specCfg.Tracer.Doc(), srcCfg.Tracer.Doc()) {
-				t.Error("traces diverged")
-			}
-			if specCfg.Obs != nil {
-				if !reflect.DeepEqual(specCfg.Obs.Snapshot(), srcCfg.Obs.Snapshot()) {
-					t.Error("counter snapshots diverged")
-				}
-				if _, err := obs.Refute(srcCfg.Obs.Snapshot(), Expectations(srcRun)); err != nil {
-					t.Errorf("Source run's counters do not reconcile: %v", err)
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkSourceMatchesSpecs(t, specs, tc.cfg) })
+	}
+}
+
+// checkSourceMatchesSpecs runs specs once through Config.Specs and once
+// through a SpecSource, both on a fresh cfg(). A Source-driven run is
+// the Specs run minus the per-session results: the two must give the
+// same summary, contention report, fidelity report, frame books, traces
+// and counters, and the Source run must keep no sessions.
+func checkSourceMatchesSpecs(t *testing.T, specs []SessionSpec, cfg func() Config) {
+	t.Helper()
+	specCfg, srcCfg := cfg(), cfg()
+	specCfg.Specs = specs
+	srcCfg.Source = &SpecSource{
+		N:              len(specs),
+		MeasuredFrames: specs[0].Config.MeasuredFrames(),
+		At:             func(i int) SessionSpec { return specs[i] },
+	}
+	specRun, srcRun := Run(specCfg), Run(srcCfg)
+	if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
+		t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
+	}
+	if len(srcRun.Sessions) != 0 {
+		t.Errorf("Source run kept %d sessions, want none", len(srcRun.Sessions))
+	}
+	specSum, srcSum := specRun.Summarize(), srcRun.Summarize()
+	specSum.Workers, specSum.WallSeconds = 0, 0
+	srcSum.Workers, srcSum.WallSeconds = 0, 0
+	if !reflect.DeepEqual(specSum, srcSum) {
+		t.Errorf("summaries diverged:\n%+v\nvs\n%+v", specSum, srcSum)
+	}
+	if !reflect.DeepEqual(specRun.Contention, srcRun.Contention) || !reflect.DeepEqual(specRun.Dropped, srcRun.Dropped) {
+		t.Errorf("contention diverged:\n%+v %d dropped\nvs\n%+v %d dropped",
+			specRun.Contention, len(specRun.Dropped), srcRun.Contention, len(srcRun.Dropped))
+	}
+	if !reflect.DeepEqual(specRun.Fidelity, srcRun.Fidelity) {
+		t.Errorf("fidelity reports diverged:\n%+v\nvs\n%+v", specRun.Fidelity, srcRun.Fidelity)
+	}
+	if specRun.TotalMeasuredFrames() != srcRun.TotalMeasuredFrames() || specRun.TotalMeasuredFrames() <= 0 {
+		t.Errorf("measured frames %d vs %d", specRun.TotalMeasuredFrames(), srcRun.TotalMeasuredFrames())
+	}
+	if specCfg.Tracer != nil && !reflect.DeepEqual(specCfg.Tracer.Doc(), srcCfg.Tracer.Doc()) {
+		t.Error("traces diverged")
+	}
+	if specCfg.Obs != nil {
+		if !reflect.DeepEqual(specCfg.Obs.Snapshot(), srcCfg.Obs.Snapshot()) {
+			t.Error("counter snapshots diverged")
+		}
+		if _, err := obs.Refute(srcCfg.Obs.Snapshot(), Expectations(srcRun)); err != nil {
+			t.Errorf("Source run's counters do not reconcile: %v", err)
+		}
 	}
 }
 
