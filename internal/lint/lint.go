@@ -110,6 +110,7 @@ var deterministicPrefixes = []string{
 	"qvr/internal/stats",
 	"qvr/internal/sim",
 	"qvr/internal/netsim",
+	"qvr/internal/randpool",
 	"qvr/internal/cliout",
 	"qvr/internal/report",
 	"qvr/internal/experiments",

@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/rand"
 
+	"qvr/internal/randpool"
 	"qvr/internal/vec"
 )
 
@@ -210,12 +211,20 @@ type Generator struct {
 func NewGenerator(p Profile, seed int64) *Generator {
 	g := &Generator{
 		profile: p,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     randpool.Get(seed),
 		dist:    p.MaxDist,
 	}
 	g.distTarget = p.MaxDist
 	g.nextSaccade = g.expDur(p.FixationMean)
 	return g
+}
+
+// Release hands the generator's random source back for reuse by a
+// later generator. The generator must not advance afterwards; a second
+// Release does nothing.
+func (g *Generator) Release() {
+	randpool.Put(g.rng)
+	g.rng = nil
 }
 
 func (g *Generator) expDur(mean float64) float64 {

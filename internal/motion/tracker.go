@@ -1,6 +1,10 @@
 package motion
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"qvr/internal/randpool"
+)
 
 // Tracker models the sensing chain between the user and the rendering
 // pipeline: a head/eye tracker running at its own fixed frequency
@@ -57,7 +61,16 @@ func NewTracker(gen *Generator, hz, transmitLatency float64) *Tracker {
 // sample and cached, so repeated reads are consistent.
 func (tr *Tracker) SetGazeNoise(sigmaDeg float64, seed int64) {
 	tr.gazeNoise = sigmaDeg
-	tr.noiseRng = rand.New(rand.NewSource(seed))
+	tr.noiseRng = randpool.Get(seed)
+}
+
+// Release hands the random sources of the tracker and its generator
+// back for reuse. The tracker must not be sampled afterwards; a second
+// Release does nothing.
+func (tr *Tracker) Release() {
+	tr.gen.Release()
+	randpool.Put(tr.noiseRng)
+	tr.noiseRng = nil
 }
 
 func (tr *Tracker) perturb(s Sample) Sample {

@@ -26,6 +26,8 @@ package netsim
 import (
 	"math"
 	"math/rand"
+
+	"qvr/internal/randpool"
 )
 
 // Condition is a named network environment.
@@ -162,9 +164,17 @@ type Link struct {
 
 // NewLink creates a seeded link under the given condition.
 func NewLink(c Condition, seed int64) *Link {
-	l := &Link{cond: c, rng: rand.New(rand.NewSource(seed))}
+	l := &Link{cond: c, rng: randpool.Get(seed)}
 	l.ewma = c.BandwidthBps * c.Efficiency
 	return l
+}
+
+// Release hands the link's random source back for reuse by a later
+// link. The link must not transfer afterwards; a second Release does
+// nothing.
+func (l *Link) Release() {
+	randpool.Put(l.rng)
+	l.rng = nil
 }
 
 // Condition returns the link's environment.

@@ -11,6 +11,7 @@ import (
 	"qvr/internal/liwc"
 	"qvr/internal/motion"
 	"qvr/internal/netsim"
+	"qvr/internal/randpool"
 	"qvr/internal/scene"
 	"qvr/internal/sim"
 	"qvr/internal/uca"
@@ -150,7 +151,7 @@ func NewSession(cfg Config) *Session {
 		eng:     sim.NewEngine(),
 		st:      scene.NewState(cfg.App),
 		link:    netsim.NewLink(cfg.Network, cfg.Seed*7+3),
-		missRng: rand.New(rand.NewSource(cfg.Seed*13 + 5)),
+		missRng: randpool.Get(cfg.Seed*13 + 5),
 		total:   cfg.Frames + cfg.Warmup,
 	}
 	s.part = foveation.NewPartitioner(s.disp)
@@ -225,6 +226,13 @@ func (p *Session) RunSink(sink FrameSink) Result {
 	s.sink = sink
 	s.tryIssue()
 	s.eng.Run()
+	// Every frame has completed, so the random sources are done: hand
+	// them to the next session. Release nils each one, which keeps a
+	// second RunSink from returning a source twice.
+	s.link.Release()
+	s.tracker.Release()
+	randpool.Put(s.missRng)
+	s.missRng = nil
 	return Result{Config: s.cfg, Display: s.disp}
 }
 
