@@ -15,7 +15,7 @@ import (
 // Re-record it only in a change that alters the simulated science on
 // purpose and says so in CHANGES.md; never to make a refactor or a
 // speedup pass.
-const goldenEvalDigest = "825e29d6b7e4eb64236cec834c035cc1a5ecb0c040e665e1ed0ddf4455e92c94"
+const goldenEvalDigest = "4aca421900c58f2d31fd8ca429e2b258f16b2cd815a1bdeb143ab533b8c49629"
 
 var goldenEvalOptions = Options{Frames: 20, Warmup: 5, Seed: 3}
 

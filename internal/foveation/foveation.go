@@ -85,37 +85,52 @@ func (d Display) TotalPixels() int { return d.Width * d.Height }
 // display rectangle, so a fovea pushed toward an edge covers less of
 // the frame — which is exactly why the LIWC can afford larger e1 when
 // the user looks off-center.
+//
+// The clipped area is computed exactly, in closed form: with the gaze
+// at the origin, the display rectangle [xa, xb] x [ya, yb] is the
+// inclusion–exclusion of four corner-anchored quadrant rectangles, and
+// each quadrant's overlap with the disc is a rectangle plus a circular
+// segment (quadrantArea).
 func (d Display) AreaFraction(e1, gx, gy float64) float64 {
 	if e1 <= 0 {
 		return 0
 	}
 	halfW, halfV := d.FovH/2, d.FovV/2
-	// Integrate the disc's horizontal chord across vertical strips,
-	// clipping each chord to the display rectangle. The min/max
-	// builtins share math.Min/Max's NaN and signed-zero semantics but
-	// compile inline, which keeps this hot loop free of calls.
-	const strips = 128
-	y0 := max(gy-e1, -halfV)
-	y1 := min(gy+e1, halfV)
-	if y1 <= y0 {
-		return 0
+	xa, xb := -halfW-gx, halfW-gx
+	ya, yb := -halfV-gy, halfV-gy
+	area := quadrantArea(xb, yb, e1) - quadrantArea(xa, yb, e1) -
+		quadrantArea(xb, ya, e1) + quadrantArea(xa, ya, e1)
+	return max(area, 0) / (d.FovH * d.FovV)
+}
+
+// quadrantArea returns the signed area of the disc of radius r at the
+// origin inside the rectangle spanned by the origin and (x, y): its
+// sign is that of x*y, so four of them sum to any axis-aligned
+// rectangle's overlap with the disc.
+func quadrantArea(x, y, r float64) float64 {
+	sign := 1.0
+	if x < 0 {
+		x, sign = -x, -sign
 	}
-	dy := (y1 - y0) / strips
-	area := 0.0
-	for i := 0; i < strips; i++ {
-		y := y0 + (float64(i)+0.5)*dy
-		h := e1*e1 - (y-gy)*(y-gy)
-		if h <= 0 {
-			continue
-		}
-		half := math.Sqrt(h)
-		x0 := max(gx-half, -halfW)
-		x1 := min(gx+half, halfW)
-		if x1 > x0 {
-			area += (x1 - x0) * dy
-		}
+	if y < 0 {
+		y, sign = -y, -sign
 	}
-	return area / (d.FovH * d.FovV)
+	x, y = min(x, r), min(y, r)
+	if x*x+y*y <= r*r {
+		return sign * x * y // the corner lies inside the disc
+	}
+	// Full height y up to the chord's end xs, then the disc's edge.
+	xs := math.Sqrt(r*r - y*y)
+	return sign * (xs*y + segmentIntegral(x, r) - segmentIntegral(xs, r))
+}
+
+// segmentIntegral is the integral of sqrt(r²-s²) over s in [0, t], for
+// 0 <= t <= r: the area under a quarter circle up to abscissa t.
+func segmentIntegral(t, r float64) float64 {
+	if t >= r {
+		return math.Pi * r * r / 4
+	}
+	return (t*math.Sqrt(r*r-t*t) + r*r*math.Asin(t/r)) / 2
 }
 
 // Layer describes one resolution band of the foveated decomposition.

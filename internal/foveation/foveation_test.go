@@ -244,9 +244,10 @@ func TestGazeOffCenterReducesPeriphery(t *testing.T) {
 	}
 }
 
-// refAreaFraction is AreaFraction as it was before the min/max
-// builtins replaced math.Max/math.Min; the bit-identity test below
-// holds the kernel to it.
+// refAreaFraction is the 128-strip midpoint rule AreaFraction used
+// before its closed form: each strip's disc chord, clipped to the
+// display. TestAreaFractionMatchesStripRule bounds how far the exact
+// area moved from it.
 func refAreaFraction(d Display, e1, gx, gy float64) float64 {
 	if e1 <= 0 {
 		return 0
@@ -278,7 +279,7 @@ func refAreaFraction(d Display, e1, gx, gy float64) float64 {
 
 // refPartition is Partition as it was before the scan integrated each
 // candidate disc once: two area calls per e2 step, then a recompute at
-// the winning e2.
+// the winning e2. It uses the kernel under test, d.AreaFraction.
 func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	if e1 < MinE1 || e1 > MaxE1 {
 		return Partition{}, ErrEccentricity
@@ -289,7 +290,7 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	var part Partition
 	part.E1 = e1
 	part.Gaze.X, part.Gaze.Y = gx, gy
-	part.FoveaAreaFraction = refAreaFraction(d, e1, gx, gy)
+	part.FoveaAreaFraction = d.AreaFraction(e1, gx, gy)
 
 	total := float64(d.TotalPixels())
 	foveaPixels := part.FoveaAreaFraction * total
@@ -308,11 +309,11 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	sMid := p.LayerScale(e1, p.MidScaleFloor)
 	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
 		sOut := p.LayerScale(e2, p.OuterScaleFloor)
-		midFrac := refAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
+		midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
 		if midFrac < 0 {
 			midFrac = 0
 		}
-		outFrac := 1 - refAreaFraction(d, e2, gx, gy)
+		outFrac := 1 - d.AreaFraction(e2, gx, gy)
 		if outFrac < 0 {
 			outFrac = 0
 		}
@@ -325,11 +326,11 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 
 	e2 := bestE2
 	sOut := p.LayerScale(e2, p.OuterScaleFloor)
-	midFrac := refAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
+	midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
 	if midFrac < 0 {
 		midFrac = 0
 	}
-	outFrac := 1 - refAreaFraction(d, e2, gx, gy)
+	outFrac := 1 - d.AreaFraction(e2, gx, gy)
 	if outFrac < 0 {
 		outFrac = 0
 	}
@@ -371,17 +372,15 @@ var (
 	bitGridGY = []float64{-45, -20, 0, 17.5, 45}
 )
 
-// TestPartitionBitIdenticalToReference holds the optimized kernel to
-// the reference scan bit for bit, over the whole grid.
+// TestPartitionBitIdenticalToReference holds the single-integration
+// scan to the reference scan bit for bit, over the whole grid. Both
+// call the same area kernel; the kernel itself is held to analytic
+// areas and to the strip rule by the AreaFraction tests below.
 func TestPartitionBitIdenticalToReference(t *testing.T) {
 	p := NewPartitioner(DefaultDisplay)
-	d := p.Display
 	for _, e1 := range bitGridE1 {
 		for _, gx := range bitGridGX {
 			for _, gy := range bitGridGY {
-				if got, want := d.AreaFraction(e1, gx, gy), refAreaFraction(d, e1, gx, gy); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("AreaFraction(%v, %v, %v) = %v, reference %v", e1, gx, gy, got, want)
-				}
 				got, gotErr := p.Partition(e1, gx, gy)
 				want, wantErr := refPartition(p, e1, gx, gy)
 				if gotErr != wantErr {
@@ -397,6 +396,58 @@ func TestPartitionBitIdenticalToReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAreaFractionAnalytic holds the closed form to areas known
+// exactly: an unclipped disc, a disc halved by an edge, a disc
+// quartered by a corner, and discs covering the whole display.
+func TestAreaFractionAnalytic(t *testing.T) {
+	d := DefaultDisplay
+	halfW, halfV := d.FovH/2, d.FovV/2
+	screen := d.FovH * d.FovV
+	for _, c := range []struct {
+		name       string
+		e1, gx, gy float64
+		want       float64
+	}{
+		{"centred disc", 10, 0, 0, math.Pi * 100 / screen},
+		{"off-centre disc", 20, -12.5, 17.5, math.Pi * 400 / screen},
+		{"half disc at the right edge", 15, halfW, 0, math.Pi * 225 / 2 / screen},
+		{"half disc at the bottom edge", 30, 4, -halfV, math.Pi * 900 / 2 / screen},
+		{"quarter disc at a corner", 15, halfW, halfV, math.Pi * 225 / 4 / screen},
+		{"quarter disc at the opposite corner", 40, -halfW, -halfV, math.Pi * 1600 / 4 / screen},
+		{"whole display, disc through the corners", d.MaxEccentricity(), 0, 0, 1},
+		{"whole display, off-centre gaze", MaxE1, 3.3, -2, 1},
+	} {
+		got := d.AreaFraction(c.e1, c.gx, c.gy)
+		if rel := math.Abs(got-c.want) / c.want; rel > 1e-12 {
+			t.Errorf("%s: AreaFraction(%v, %v, %v) = %v, want %v (relative error %.3g)", c.name, c.e1, c.gx, c.gy, got, c.want, rel)
+		}
+	}
+	if got := d.AreaFraction(MaxE1, 0, 0); got != 1 {
+		t.Errorf("AreaFraction(%v, 0, 0) = %v, want exactly 1", MaxE1, got)
+	}
+}
+
+// TestAreaFractionMatchesStripRule bounds the closed form's departure
+// from the strip rule it replaced, over the fovea radii and gazes the
+// partition sees.
+func TestAreaFractionMatchesStripRule(t *testing.T) {
+	d := DefaultDisplay
+	worst := 0.0
+	for e1 := MinE1; e1 <= 71; e1 += 0.5 {
+		for gx := -40.0; gx <= 40; gx += 2.5 {
+			for gy := -30.0; gy <= 30; gy += 2.5 {
+				got, ref := d.AreaFraction(e1, gx, gy), refAreaFraction(d, e1, gx, gy)
+				rel := math.Abs(got-ref) / ref
+				if rel > 1e-3 {
+					t.Fatalf("AreaFraction(%v, %v, %v) = %v, strip rule %v (relative %.3g)", e1, gx, gy, got, ref, rel)
+				}
+				worst = max(worst, rel)
+			}
+		}
+	}
+	t.Logf("largest relative departure from the strip rule: %.3g", worst)
 }
 
 // BenchmarkPartition times one e1 sweep (MinE1 to 70 degrees in

@@ -22,23 +22,23 @@ import (
 // science on purpose and says so in CHANGES.md; never to make a
 // refactor or a speedup pass.
 var goldenTimelineDigests = map[string]string{
-	"capacity-probe":            "b7a23b20ffcd24e968adb55fef23421a53a4777f5f87f774a1a79e2338242940",
-	"churn":                     "34d3339ad3697d3e202dc09ecac80736b52ba4de2c59eb417602dfca7d71de59",
-	"cluster-outage-failover":   "517574c2d57cb707bf7f9e97200d50d43f79056e0ed728454cd8caba2104343b",
-	"diurnal":                   "eee2bec40f06256b8d12d943d122ce83508a9f918ac2acdd034a7fd5be3d5571",
-	"edge-autoscale-flashcrowd": "2b758630dc4412328f50222ded11614c0a521e50fb1b3272c865750a36541f88",
-	"edge-imbalance":            "5b7a576f526f6d8db6f22701efdfb129d84e577a923b044b6cc443927eee20ec",
-	"edge-regional-outage":      "c681ebf3010e50e6d4c9c6808e9256f941e3086f57ab323114108f5bd5ca6b2f",
-	"flash-crowd":               "10e111df1476246fa70b567a06f587db5c8314d7a7897228d2073224fcf7e394",
-	"giga-steady":               "21d1141781f5a2af212e20ee1623c0a4513173d951375c3024c34abd3f6bb1b3",
-	"net-brownout":              "361f32595a561bd0bbabc5a397b772ef3a179a1aa0ccc6ac3d252cda1fde4442",
-	"steady":                    "196affe634de99fe2c5ddefad437809f6b64a4225c49ebe06be55c61a98b43cf",
+	"capacity-probe":            "ff03d781bca57bd88b700ba1bd86ae76ac040221ef6f00e34af1b17299d5a768",
+	"churn":                     "716cc8fef13823a621d73ba6b66dc9ad0e7fd5aec1fab5eb81e12b5e6963e523",
+	"cluster-outage-failover":   "4469bcdd86d540879651a19b4645adaea7b824faf4b9873a5be60dcb93124e9d",
+	"diurnal":                   "1ef2bea7eb892ca82d3f47712abf7db7455be49ba9aa817982a9e62782cb6c07",
+	"edge-autoscale-flashcrowd": "fbed48ec56854f6c2a32ed7ca60128d4264ad176ccd12b999c5e6bb14caa6ceb",
+	"edge-imbalance":            "1f4abba72e9959a3b28264888567362c104d59e55bb846fb9bb092ca58f941d0",
+	"edge-regional-outage":      "a09717e0f4f476b538486a7365e3a5e7b6e3b3ad76902ec804b9faae5208de02",
+	"flash-crowd":               "1ab63b8df27d68ebe6e5ce433b8d00e149f9c3584a1e20f0b3e70e700f24aacc",
+	"giga-steady":               "0cc1dc0686c34b72c843a6d69f83dc6b5e595a90cde6608665e5dce128dc14f3",
+	"net-brownout":              "9b3fbb20e321b4951496e5cd876c93f5ef8184da992b3610141ac3498b05adb8",
+	"steady":                    "36868393ff5b2d6dc0de7842e4240bb30fe3ffb7141cdd0eb0299fa4cc4389e5",
 }
 
 var goldenPointDigests = map[string]string{
-	"capacity-probe@4":  "03feca05f45dda29e39ebc29b0d11a50f08c5c6472eb4243a4c1a14f9ce476bb",
-	"capacity-probe@16": "d6593fe8d27da8903abf502daca1f6b3ed29eb46361e4b86a2a772ee9f5cc40f",
-	"giga-steady@2000":  "99221fc11976d55affcabfeedb81ee6bcb05869629485044e4118917cbc2aace",
+	"capacity-probe@4":  "bd4aa33f8edad6fc2c22cfad89b6d193c1affdc812d408fa1547bfaab90ee0fc",
+	"capacity-probe@16": "7ad74257bde250de52cb8732fa88533ded224f80b57113bc70dceae49f0e5870",
+	"giga-steady@2000":  "ccceeff617145d6dfc44ecf9d3199eaec2bd6f273b3109a6adef35257d1235e9",
 }
 
 func digestJSON(t *testing.T, v any) string {
