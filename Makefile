@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile fmt vet fmt-check lint ci
+.PHONY: build test race bench bench-json scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile profile-top fmt vet fmt-check lint ci
 
 # build compiles every package and drops the command binaries
 # (qvr-sim, qvr-bench, qvr-trace, qvr-live, qvr-fleet, qvr-scenario,
@@ -195,6 +195,11 @@ profile: build
 		-cpuprofile bin/scenario-cpu.prof -memprofile bin/scenario-mem.prof > /dev/null
 	@echo "wrote bin/scenario-cpu.prof and bin/scenario-mem.prof"
 	@echo "inspect with: go tool pprof bin/scenario-cpu.prof"
+
+# The CPU profile's top 20 functions by flat time: the shares quoted in
+# ROADMAP.md, reproduced with one command.
+profile-top: profile
+	$(GO) tool pprof -top -nodecount=20 bin/scenario-cpu.prof
 
 fmt:
 	gofmt -w .

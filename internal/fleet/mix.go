@@ -2,12 +2,12 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"qvr/internal/motion"
 	"qvr/internal/netsim"
 	"qvr/internal/pipeline"
+	"qvr/internal/randpool"
 	"qvr/internal/scene"
 )
 
@@ -142,8 +142,9 @@ func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) 
 	}
 	// Shuffle the weighted cycle so oversubscription tests don't drop
 	// whole tiers just because they expanded last.
-	rng := rand.New(rand.NewSource(baseSeed*2654435761 + 97))
+	rng := randpool.Get(baseSeed*2654435761 + 97)
 	rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
+	randpool.Put(rng)
 
 	// One resolved base config per cycle entry; mint copies it and
 	// fills the per-session fields.

@@ -264,3 +264,37 @@ func wrapF(x float64) float64 {
 	}
 	return math.Mod(x, 50)
 }
+
+// TestSetGazeNoiseTwice re-seeds a tracker's gaze noise: the first
+// source goes back to the pool, the noise stream is the second seed's,
+// and Release then hands back the only source the tracker holds.
+func TestSetGazeNoiseTwice(t *testing.T) {
+	twice := NewTracker(NewGenerator(Normal, 5), 120, 0.002)
+	twice.SetGazeNoise(1.5, 11)
+	twice.SetGazeNoise(1.5, 22)
+	second := NewTracker(NewGenerator(Normal, 5), 120, 0.002)
+	second.SetGazeNoise(1.5, 22)
+	first := NewTracker(NewGenerator(Normal, 5), 120, 0.002)
+	first.SetGazeNoise(1.5, 11)
+
+	differs := false
+	for ft := 0.05; ft < 1.0; ft += 0.011 {
+		got := twice.SampleAt(ft)
+		if want := second.SampleAt(ft); got != want {
+			t.Fatalf("request at %v: gaze %v, second seed alone gives %v", ft, got.Gaze, want.Gaze)
+		}
+		if got != first.SampleAt(ft) {
+			differs = true
+		}
+	}
+	if !differs {
+		t.Fatal("noise stream matches the first seed's too: the test cannot tell the seeds apart")
+	}
+
+	for _, tr := range []*Tracker{twice, second, first} {
+		tr.Release()
+		if tr.noiseRng != nil {
+			t.Fatal("Release kept the noise source")
+		}
+	}
+}

@@ -61,6 +61,7 @@ func NewTracker(gen *Generator, hz, transmitLatency float64) *Tracker {
 // sample and cached, so repeated reads are consistent.
 func (tr *Tracker) SetGazeNoise(sigmaDeg float64, seed int64) {
 	tr.gazeNoise = sigmaDeg
+	randpool.Put(tr.noiseRng)
 	tr.noiseRng = randpool.Get(seed)
 }
 

@@ -1,8 +1,10 @@
-// Package randpool recycles seeded *rand.Rand generators across
-// simulation sessions. A fresh math/rand source is ~5 KB of state, and
-// a short session allocates several of them; taking them from a pool
-// keeps that garbage off the heap while leaving every random stream
-// unchanged.
+// Package randpool hands out seeded *rand.Rand generators for
+// simulation sessions, lazily seeded and recycled. Each generator runs
+// math/rand's own algorithm and draws exactly the stream of
+// rand.New(rand.NewSource(seed)), but seeding costs O(1) instead of
+// math/rand's 1,841 LCG steps: the 607-word state is filled as draws
+// reach it, and a short session draws a handful of numbers or none.
+// Recycling through a pool keeps the ~5 KB state off the heap.
 package randpool
 
 import (
@@ -17,11 +19,12 @@ var pool sync.Pool
 // whole source and the Rand's buffered read position, so a recycled
 // generator keeps nothing of its previous stream.
 func Get(seed int64) *rand.Rand {
-	if r, ok := pool.Get().(*rand.Rand); ok {
-		r.Seed(seed)
-		return r
+	r, ok := pool.Get().(*rand.Rand)
+	if !ok {
+		r = rand.New(new(source))
 	}
-	return rand.New(rand.NewSource(seed))
+	r.Seed(seed)
+	return r
 }
 
 // Put returns r to the pool for a later Get. The caller must not use r
