@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile profile-top fmt vet fmt-check lint ci
+.PHONY: build test race bench bench-json scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile profile-top alloc-top fmt vet fmt-check lint ci
 
 # build compiles every package and drops the command binaries
 # (qvr-sim, qvr-bench, qvr-trace, qvr-live, qvr-fleet, qvr-scenario,
@@ -200,6 +200,11 @@ profile: build
 # ROADMAP.md, reproduced with one command.
 profile-top: profile
 	$(GO) tool pprof -top -nodecount=20 bin/scenario-cpu.prof
+
+# The heap profile's top 20 functions by objects allocated over the
+# whole run: where per-session allocations come from.
+alloc-top: profile
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=20 bin/scenario-mem.prof
 
 fmt:
 	gofmt -w .

@@ -222,7 +222,7 @@ func printTable(rep capacity.Report) {
 	if p.ExactFraction > 0 {
 		lean := ""
 		if p.Lean {
-			lean = ", lean engine"
+			lean = ", no per-session results kept"
 		}
 		fmt.Printf("  fidelity: surrogate fast path, %.2f%% exact sample%s; knee confirmed by exact DES\n",
 			p.ExactFraction*100, lean)

@@ -276,14 +276,15 @@ func Run(cfg Config) Result {
 }
 
 // runShard simulates indices [lo, hi) with worker-local state: one
-// reusable StatsSink and one sample buffer pre-sized for the shard's
-// measured frames, so an entire shard's exact-percentile samples live
-// in a single allocation and per-session garbage is limited to the
-// simulator itself. When counters are on, the worker also owns one
-// registry shard and one StageSink reused across its whole range — the
-// per-frame path stays allocation-free either way. It writes tallies
-// (and results, when kept) at each session's index and returns the
-// shard's sample buffer plus its exact-DES frame count.
+// pipeline.Session reset for every exact run, one reusable StatsSink
+// and one sample buffer pre-sized for the shard's measured frames, so
+// an entire shard's exact-percentile samples live in a single
+// allocation and a session costs almost no garbage once the first has
+// warmed the simulator's pools. When counters are on, the worker also
+// owns one registry shard and one StageSink reused across its whole
+// range — the per-frame path stays allocation-free either way. It
+// writes tallies (and results, when kept) at each session's index and
+// returns the shard's sample buffer plus its exact-DES frame count.
 func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi int, results []SessionResult, tallies []tally) ([]float64, int64) {
 	buf := make([]float64, 0, (hi-lo)*src.MeasuredFrames)
 	var predBuf []float64
@@ -298,6 +299,7 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 			predBuf = make([]float64, 0, marked*src.MeasuredFrames)
 		}
 	}
+	var sess pipeline.Session
 	var sink framesink.StatsSink
 	var stage obs.StageSink
 	if cfg.Obs != nil {
@@ -334,7 +336,8 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 				st = cfg.Tracer.Session(traceRun, i, sp.Name, sp.Config, dst)
 				dst = st
 			}
-			ran = pipeline.NewSession(sp.Config).RunSink(dst).Config
+			sess.Reset(sp.Config)
+			ran = sess.RunSink(dst).Config
 			if st != nil {
 				cfg.Tracer.Collect(st)
 			}

@@ -189,18 +189,25 @@ type Controller struct {
 
 // New creates a controller.
 func New(cfg Config) *Controller {
-	c := &Controller{
+	c := &Controller{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset re-initializes the controller in place, as New returns it: the
+// learned table overlay is cleared but keeps its storage, so a reused
+// controller powers on at the seed gradient without reallocating.
+func (c *Controller) Reset(cfg Config) {
+	clear(c.table)
+	*c = Controller{
 		cfg:            cfg,
-		e1:             cfg.InitialE1,
+		table:          c.table,
+		e1:             max(cfg.InitialE1, e1BucketLo),
+		seedBits:       fp16.FromFloat64(cfg.InitialGradient),
 		secPerTriShare: 25e-9, // ~25 ns per triangle-share unit, refined online
 		bytesPerPixel:  0.09,  // compressed payload density, refined online
 		remoteOverhead: 0.0015,
 	}
-	if c.e1 < e1BucketLo {
-		c.e1 = e1BucketLo
-	}
-	c.seedBits = fp16.FromFloat64(cfg.InitialGradient)
-	return c
 }
 
 // entry reads one SRAM table cell: the learned overlay value if the

@@ -21,7 +21,15 @@ const SoftwareControlOverheadSeconds = 0.0012
 
 // NewSoftware creates the software baseline controller.
 func NewSoftware(budgetSeconds, targetFloor, initialE1 float64) *SoftwareController {
-	return &SoftwareController{budget: budgetSeconds, floor: targetFloor, e1: initialE1}
+	s := &SoftwareController{}
+	s.Reset(budgetSeconds, targetFloor, initialE1)
+	return s
+}
+
+// Reset re-initializes the controller in place, as NewSoftware returns
+// it, forgetting the previous frame's measurements.
+func (s *SoftwareController) Reset(budgetSeconds, targetFloor, initialE1 float64) {
+	*s = SoftwareController{budget: budgetSeconds, floor: targetFloor, e1: initialE1}
 }
 
 // E1 returns the current eccentricity.

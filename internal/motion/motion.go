@@ -209,14 +209,24 @@ type Generator struct {
 
 // NewGenerator creates a seeded generator for the given profile.
 func NewGenerator(p Profile, seed int64) *Generator {
-	g := &Generator{
-		profile: p,
-		rng:     randpool.Get(seed),
-		dist:    p.MaxDist,
-	}
-	g.distTarget = p.MaxDist
-	g.nextSaccade = g.expDur(p.FixationMean)
+	g := &Generator{}
+	g.Reset(p, seed)
 	return g
+}
+
+// Reset re-initializes the generator in place, as NewGenerator returns
+// it: any random source it still holds goes back to the pool, and a
+// freshly seeded one comes out, so the trace is the same as a new
+// generator's.
+func (g *Generator) Reset(p Profile, seed int64) {
+	randpool.Put(g.rng)
+	*g = Generator{
+		profile:    p,
+		rng:        randpool.Get(seed),
+		dist:       p.MaxDist,
+		distTarget: p.MaxDist,
+	}
+	g.nextSaccade = g.expDur(p.FixationMean)
 }
 
 // Release hands the generator's random source back for reuse by a

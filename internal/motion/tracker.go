@@ -47,13 +47,24 @@ const DefaultTransmitLatency = 0.002
 // NewTracker wraps gen with a sampling process at hz samples/second
 // and the given transmission latency in seconds.
 func NewTracker(gen *Generator, hz, transmitLatency float64) *Tracker {
+	tr := &Tracker{}
+	tr.Reset(gen, hz, transmitLatency)
+	return tr
+}
+
+// Reset re-initializes the tracker in place, as NewTracker returns it:
+// gaze noise is off and its source goes back to the pool, and the
+// sample window empties but keeps its backing array. gen is taken as
+// given: Reset neither resets it nor returns its source.
+func (tr *Tracker) Reset(gen *Generator, hz, transmitLatency float64) {
 	if hz <= 0 {
 		hz = DefaultTrackerHz
 	}
 	if transmitLatency < 0 {
 		transmitLatency = DefaultTransmitLatency
 	}
-	return &Tracker{gen: gen, hz: hz, transmit: transmitLatency}
+	randpool.Put(tr.noiseRng)
+	*tr = Tracker{gen: gen, hz: hz, transmit: transmitLatency, samples: tr.samples[:0]}
 }
 
 // SetGazeNoise enables Gaussian gaze measurement error with the given

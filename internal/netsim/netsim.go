@@ -164,9 +164,17 @@ type Link struct {
 
 // NewLink creates a seeded link under the given condition.
 func NewLink(c Condition, seed int64) *Link {
-	l := &Link{cond: c, rng: randpool.Get(seed)}
-	l.ewma = c.BandwidthBps * c.Efficiency
+	l := &Link{}
+	l.Reset(c, seed)
 	return l
+}
+
+// Reset re-initializes the link in place, as NewLink returns it: any
+// random source it still holds goes back to the pool and a freshly
+// seeded one comes out, and the outage and throughput history clear.
+func (l *Link) Reset(c Condition, seed int64) {
+	randpool.Put(l.rng)
+	*l = Link{cond: c, rng: randpool.Get(seed), ewma: c.BandwidthBps * c.Efficiency}
 }
 
 // Release hands the link's random source back for reuse by a later

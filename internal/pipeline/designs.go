@@ -10,62 +10,80 @@ import (
 )
 
 // frameLocalOnly renders the whole frame on the mobile GPU, then runs
-// ATW on the GPU: the commercial mobile VR baseline. The stages are
-// prebound session callbacks — local-only is also the fleet's
+// ATW on the GPU: the commercial mobile VR baseline. Every design's
+// stages are prebound session callbacks reading the reused frameState,
+// so no design allocates per frame; local-only is also the fleet's
 // failover mode, so it runs at scale.
 func (s *session) frameLocalOnly(f *frameState) {
 	render := s.cfg.GPU.FullFrameSeconds(s.cfg.App, f.stats)
 	f.rec.LocalRenderSeconds = render
 	f.rec.FoveaShare = 1
-	s.gpuRes.Request(sim.Time(render), s.cbLocalRendered)
+	s.gpuRes.Request(sim.Time(render), s.cbATW)
 }
 
-func (s *session) localRendered() {
+// atw runs asynchronous time warp on the GPU, then retires the frame.
+func (s *session) atw() {
 	atw := uca.GPUCompositionSeconds(s.disp.Width, s.disp.Height, s.cfg.GPU.FrequencyMHz, false)
 	s.frame.rec.ComposeSeconds = atw
-	s.gpuRes.Request(sim.Time(atw), s.cbLocalComposed)
-}
-
-func (s *session) localComposed() {
-	s.finish(&s.frame, s.eng.Now().Seconds(), 0)
+	s.gpuRes.Request(sim.Time(atw), s.cbFrameDone)
 }
 
 // frameRemoteOnly offloads the whole frame to the remote cluster and
 // streams it back: the cloud-gaming baseline.
 func (s *session) frameRemoteOnly(f *frameState) {
-	app := s.cfg.App
-	chainStart := s.eng.Now().Seconds()
+	f.chainStart = s.eng.Now().Seconds()
+	f.pixels = s.cfg.App.PixelsPerFrame()
+	f.bytes = s.cfg.Codec.FrameBytes(f.pixels, f.stats.Entropy, 1, motionNorm(s.motionDelta(f)))
+	f.rec.BytesSent = f.bytes
+	f.rec.AirtimeSeconds = s.cfg.Network.AirtimeSeconds(f.bytes)
+	f.fetched = s.cbATW
+	s.fetch(f)
+}
 
+// fetch renders, encodes, streams and decodes one full frame of
+// f.pixels pixels and f.bytes bytes on the remote side, then runs
+// f.fetched. The chain's span is measured from f.chainStart.
+func (s *session) fetch(f *frameState) {
 	req := s.requestSeconds(f)
 	f.rec.RequestSeconds = req
-	s.eng.Schedule(sim.Time(req), func() {
-		render := s.cfg.Remote.RenderSeconds(gpu.FrameWorkload(app, f.stats, 1, 1))
-		f.rec.RemoteRenderSeconds = render
-		s.remRes.Request(sim.Time(render), func() {
-			pixels := app.PixelsPerFrame()
-			enc := s.cfg.Codec.EncodeSeconds(pixels)
-			f.rec.EncodeSeconds = enc
-			s.eng.Schedule(sim.Time(enc), func() {
-				bytes := s.cfg.Codec.FrameBytes(pixels, f.stats.Entropy, 1, motionNorm(s.motionDelta(f)))
-				f.rec.BytesSent = bytes
-				f.rec.AirtimeSeconds = s.cfg.Network.AirtimeSeconds(bytes)
-				tx := s.transferSeconds(bytes, s.eng.Now().Seconds())
-				f.rec.TransferSeconds = tx
-				s.netRes.Request(sim.Time(tx), func() {
-					dec := s.cfg.Codec.DecodeSeconds(pixels)
-					f.rec.DecodeSeconds = dec
-					s.decRes.Request(sim.Time(dec), func() {
-						f.rec.RemoteChainSeconds = s.eng.Now().Seconds() - chainStart
-						atw := uca.GPUCompositionSeconds(s.disp.Width, s.disp.Height, s.cfg.GPU.FrequencyMHz, false)
-						f.rec.ComposeSeconds = atw
-						s.gpuRes.Request(sim.Time(atw), func() {
-							s.finish(f, s.eng.Now().Seconds(), 0)
-						})
-					})
-				})
-			})
-		})
-	})
+	s.eng.Schedule(sim.Time(req), s.cbFetchGranted)
+}
+
+// fetchGranted: the request reached the remote cluster.
+func (s *session) fetchGranted() {
+	f := &s.frame
+	render := s.cfg.Remote.RenderSeconds(gpu.FrameWorkload(s.cfg.App, f.stats, 1, 1))
+	f.rec.RemoteRenderSeconds = render
+	s.remRes.Request(sim.Time(render), s.cbFetchRendered)
+}
+
+// fetchRendered: the remote render finished; encoding follows.
+func (s *session) fetchRendered() {
+	enc := s.cfg.Codec.EncodeSeconds(s.frame.pixels)
+	s.frame.rec.EncodeSeconds = enc
+	s.eng.Schedule(sim.Time(enc), s.cbFetchEncoded)
+}
+
+// fetchEncoded: the frame hits the wire.
+func (s *session) fetchEncoded() {
+	f := &s.frame
+	tx := s.transferSeconds(f.bytes, s.eng.Now().Seconds())
+	f.rec.TransferSeconds = tx
+	s.netRes.Request(sim.Time(tx), s.cbFetchSent)
+}
+
+// fetchSent: the downlink drained; decoding follows.
+func (s *session) fetchSent() {
+	dec := s.cfg.Codec.DecodeSeconds(s.frame.pixels)
+	s.frame.rec.DecodeSeconds = dec
+	s.decRes.Request(sim.Time(dec), s.cbFetchDecoded)
+}
+
+// fetchDecoded closes the remote chain.
+func (s *session) fetchDecoded() {
+	f := &s.frame
+	f.rec.RemoteChainSeconds = s.eng.Now().Seconds() - f.chainStart
+	f.fetched()
 }
 
 // frameStatic is the state-of-the-art static collaboration: the
@@ -92,91 +110,70 @@ func (s *session) frameStatic(f *frameState) {
 	f.rec.LocalRenderSeconds = local
 	f.rec.FoveaShare = f.stats.InteractiveShare
 
-	chainStart := s.eng.Now().Seconds()
-	pixels := app.PixelsPerFrame()
+	f.chainStart = s.eng.Now().Seconds()
+	f.pixels = app.PixelsPerFrame()
 	// Backgrounds carry depth maps for composition (Section 2.3);
 	// depth planes compress poorly, inflating the payload.
-	bytes := int(float64(s.cfg.Codec.FrameBytes(pixels, f.stats.Entropy, 1, motionNorm(delta))) * 1.3)
-	f.rec.BytesSent = bytes
-	f.rec.AirtimeSeconds = s.cfg.Network.AirtimeSeconds(bytes)
-
-	// displayAt is when the composed frame became displayable; on hits
-	// composition only waits for the local render.
-	var displayAt float64
-	var staleness float64
-
-	f.join = 2
-	allDone := func() {
-		f.join--
-		if f.join == 0 {
-			s.finish(f, displayAt, staleness)
-		}
-	}
-	compose := func(after func()) {
-		// Composition with collision detection and embedding is
-		// heavier than plain foveated blending (Section 1: "high
-		// composition overhead ... more complex collision detection
-		// and embedding methods").
-		comp := uca.GPUCompositionSeconds(s.disp.Width, s.disp.Height, s.cfg.GPU.FrequencyMHz, true) * 1.3
-		f.rec.ComposeSeconds = comp
-		s.gpuRes.Request(sim.Time(comp), func() {
-			displayAt = s.eng.Now().Seconds()
-			after()
-		})
-	}
-
-	fetch := func(done func()) {
-		req := s.requestSeconds(f)
-		f.rec.RequestSeconds = req
-		s.eng.Schedule(sim.Time(req), func() {
-			render := s.cfg.Remote.RenderSeconds(gpu.FrameWorkload(app, f.stats, 1, 1))
-			f.rec.RemoteRenderSeconds = render
-			s.remRes.Request(sim.Time(render), func() {
-				enc := s.cfg.Codec.EncodeSeconds(pixels)
-				f.rec.EncodeSeconds = enc
-				s.eng.Schedule(sim.Time(enc), func() {
-					tx := s.transferSeconds(bytes, s.eng.Now().Seconds())
-					f.rec.TransferSeconds = tx
-					s.netRes.Request(sim.Time(tx), func() {
-						dec := s.cfg.Codec.DecodeSeconds(pixels)
-						f.rec.DecodeSeconds = dec
-						s.decRes.Request(sim.Time(dec), func() {
-							f.rec.RemoteChainSeconds = s.eng.Now().Seconds() - chainStart
-							done()
-						})
-					})
-				})
-			})
-		})
-	}
+	f.bytes = int(float64(s.cfg.Codec.FrameBytes(f.pixels, f.stats.Entropy, 1, motionNorm(delta))) * 1.3)
+	f.rec.BytesSent = f.bytes
+	f.rec.AirtimeSeconds = s.cfg.Network.AirtimeSeconds(f.bytes)
 
 	if miss {
 		// Miss: the frame waits on a correction round trip plus a
 		// synchronous fetch before it can compose.
-		s.gpuRes.Request(sim.Time(local), func() {})
-		s.eng.Schedule(sim.Time(s.cfg.Network.RTTSeconds), func() {
-			fetch(func() {
-				compose(allDone)
-			})
-		})
 		f.join = 1
-	} else {
-		// Hit: the background prefetched last frame is already
-		// resident. Composition follows the local render; the fetch
-		// for the next frame proceeds in parallel, and the frame is
-		// not retired until it lands (it paces the steady state).
-		// The displayed background was predicted roughly one fetch
-		// chain ago - charge that age to motion-to-photon.
-		s.gpuRes.Request(sim.Time(local), func() {
-			compose(func() {
-				staleness = f.rec.RemoteChainSeconds
-				if staleness == 0 {
-					staleness = 1 / TargetFPS
-				}
-				allDone()
-			})
-		})
-		fetch(allDone)
+		s.gpuRes.Request(sim.Time(local), nil)
+		s.eng.Schedule(sim.Time(s.cfg.Network.RTTSeconds), s.cbStaticRefetch)
+		return
+	}
+	// Hit: the background prefetched last frame is already resident.
+	// Composition follows the local render; the fetch for the next
+	// frame proceeds in parallel, and the frame is not retired until
+	// it lands (it paces the steady state).
+	f.join = 2
+	s.gpuRes.Request(sim.Time(local), s.cbStaticCompose)
+	f.fetched = s.cbStaticJoin
+	s.fetch(f)
+}
+
+// staticRefetch: a missed frame's correction round trip is over; the
+// synchronous fetch starts, and composition waits for it.
+func (s *session) staticRefetch() {
+	s.frame.fetched = s.cbStaticCompose
+	s.fetch(&s.frame)
+}
+
+// staticCompose composes the background and the local objects on the
+// GPU. Composition with collision detection and embedding is heavier
+// than plain foveated blending (Section 1: "high composition overhead
+// ... more complex collision detection and embedding methods").
+func (s *session) staticCompose() {
+	comp := uca.GPUCompositionSeconds(s.disp.Width, s.disp.Height, s.cfg.GPU.FrequencyMHz, true) * 1.3
+	s.frame.rec.ComposeSeconds = comp
+	s.gpuRes.Request(sim.Time(comp), s.cbStaticComposed)
+}
+
+// staticComposed: the frame is displayable. On a hit, the displayed
+// background was predicted roughly one fetch chain ago - charge that
+// age to motion-to-photon.
+func (s *session) staticComposed() {
+	f := &s.frame
+	f.displayAt = s.eng.Now().Seconds()
+	if !f.rec.PredictionMiss {
+		f.staleness = f.rec.RemoteChainSeconds
+		if f.staleness == 0 {
+			f.staleness = 1 / TargetFPS
+		}
+	}
+	s.staticJoin()
+}
+
+// staticJoin retires the frame once all of its branches have landed.
+func (s *session) staticJoin() {
+	f := &s.frame
+	f.join--
+	if f.join == 0 {
+		s.finish(f, f.displayAt, f.staleness)
 	}
 }
 
@@ -392,17 +389,12 @@ func (s *session) collabBranchDone() {
 		// The UCA starts on tiles as soon as their layer data is
 		// resident, before rendering completes (Fig. 4-C), so only
 		// a tail of its work remains on the critical path.
-		s.ucaRes.Request(sim.Time(t*ucaTailFraction), s.cbCollabFinish)
+		s.ucaRes.Request(sim.Time(t*ucaTailFraction), s.cbFrameDone)
 	} else {
 		t := uca.GPUCompositionSeconds(s.disp.Width, s.disp.Height, s.cfg.GPU.FrequencyMHz, periphery > 0)
 		f.rec.ComposeSeconds = t
-		s.gpuRes.Request(sim.Time(t), s.cbCollabFinish)
+		s.gpuRes.Request(sim.Time(t), s.cbFrameDone)
 	}
-}
-
-// collabFinish retires the composed frame.
-func (s *session) collabFinish() {
-	s.finish(&s.frame, s.eng.Now().Seconds(), 0)
 }
 
 // resolutionReduction computes the Fig. 13 metric: the fraction of

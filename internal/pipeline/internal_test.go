@@ -23,7 +23,7 @@ func newTestSession(t *testing.T, d Design) *session {
 			FovH: 110, FovV: 90,
 		},
 	}
-	s.part = foveation.NewPartitioner(s.disp)
+	s.part = *foveation.NewPartitioner(s.disp)
 	return s
 }
 
@@ -106,7 +106,7 @@ func TestStageFPSStaticMissDrains(t *testing.T) {
 
 func TestLiwcGeomClampsEccentricity(t *testing.T) {
 	s := newTestSession(t, QVR)
-	g := liwcGeom{part: s.part, density: 1}
+	g := liwcGeom{part: &s.part, density: 1}
 	// Out-of-range inputs must not panic and must return sane values.
 	for _, e1 := range []float64{-10, 0, 4.9, 90.1, 500} {
 		share := g.FoveaShare(e1)
@@ -121,8 +121,8 @@ func TestLiwcGeomClampsEccentricity(t *testing.T) {
 
 func TestLiwcGeomDensityScalesShare(t *testing.T) {
 	s := newTestSession(t, QVR)
-	lo := liwcGeom{part: s.part, density: 0.5}
-	hi := liwcGeom{part: s.part, density: 2}
+	lo := liwcGeom{part: &s.part, density: 0.5}
+	hi := liwcGeom{part: &s.part, density: 2}
 	if hi.FoveaShare(20) <= lo.FoveaShare(20) {
 		t.Error("density did not scale fovea share")
 	}
@@ -138,7 +138,7 @@ func TestLiwcGeomDensityScalesShare(t *testing.T) {
 // must not be cached.
 func TestLiwcGeomMemoMatchesFreshPartition(t *testing.T) {
 	s := newTestSession(t, QVR)
-	g := liwcGeom{part: s.part, density: 1}
+	g := liwcGeom{part: &s.part, density: 1}
 	check := func(step string, e1 float64) {
 		t.Helper()
 		got, gotErr := g.partition(e1)

@@ -19,26 +19,51 @@ import (
 
 // session owns one simulation run's state: the event engine, the
 // hardware resources, the user/scene models, and the controllers.
+// Every component is held by value and rewound in place by reset, so a
+// reused session keeps its engine and resource pools, its bound
+// callbacks, the tracker's sample window and the LIWC table overlay.
 type session struct {
 	cfg  Config
 	disp foveation.Display
 
-	eng    *sim.Engine
-	cpu    *sim.Resource // application CPU
-	gpuRes *sim.Resource // mobile GPU (render + baseline composition)
-	ucaRes *sim.Resource // UCA units (QVR only)
-	decRes *sim.Resource // video decoder
-	netRes *sim.Resource // downlink
-	remRes *sim.Resource // remote render cluster
+	eng    sim.Engine
+	cpu    sim.Resource // application CPU
+	gpuRes sim.Resource // mobile GPU (render + baseline composition)
+	ucaRes sim.Resource // UCA units (QVR only)
+	decRes sim.Resource // video decoder
+	netRes sim.Resource // downlink
+	remRes sim.Resource // remote render cluster
 
-	tracker *motion.Tracker
-	st      *scene.State
-	part    *foveation.Partitioner
-	link    *netsim.Link
-	ctrl    *liwc.Controller
-	sw      *liwc.SoftwareController
+	gen     motion.Generator
+	tracker motion.Tracker
+	st      scene.State
+	part    foveation.Partitioner
+	link    netsim.Link
+	ctrl    liwc.Controller         // DFR and QVR only
+	sw      liwc.SoftwareController // QVRSoftware only
 	missRng *rand.Rand
 
+	geom    liwcGeom
+	cpuTime float64 // per-frame CPU stage cost, fixed per config
+
+	// Frames are fully serialized (one in flight), so one frameState
+	// is reused for the whole run and every design's per-frame
+	// pipeline callbacks are bound once, at the first reset, instead
+	// of allocating closures every frame.
+	cbFrameStart, cbDispatch, cbFrameDone, cbATW          func()
+	cbCollabPeriphery, cbCollabRendered, cbCollabStreamed func()
+	cbCollabNetDone, cbCollabDecoded, cbCollabBranchDone  func()
+	cbFetchGranted, cbFetchRendered, cbFetchEncoded       func()
+	cbFetchSent, cbFetchDecoded                           func()
+	cbStaticRefetch, cbStaticCompose                      func()
+	cbStaticComposed, cbStaticJoin                        func()
+
+	progress
+}
+
+// progress is a run's mutable bookkeeping. reset zeroes it whole, so
+// a field added here can never leak from one run into the next.
+type progress struct {
 	total     int
 	issued    int
 	completed int
@@ -55,24 +80,8 @@ type session struct {
 	// behaviour); RunSink attaches the caller's.
 	sink FrameSink
 
-	// Frames are fully serialized (one in flight), so one frameState
-	// is reused for the whole run and the per-frame pipeline callbacks
-	// are bound once here instead of allocating closures every frame.
-	// Only the static/remote-only design bodies still build per-frame
-	// closures (their join structure is irregular); the collaborative
-	// designs — what a fleet overwhelmingly runs — are allocation-free
-	// per frame.
-	frame   frameState
-	geom    liwcGeom
-	cpuTime float64 // per-frame CPU stage cost, fixed per config
-	layers  [2]int  // scratch for the per-layer parallel streams
-
-	cbFrameStart, cbDispatch            func()
-	cbLocalRendered, cbLocalComposed    func()
-	cbCollabBranchDone, cbCollabFinish  func()
-	cbCollabPeriphery, cbCollabRendered func()
-	cbCollabStreamed, cbCollabNetDone   func()
-	cbCollabDecoded                     func()
+	frame  frameState
+	layers [2]int // scratch for the per-layer parallel streams
 }
 
 // recorder is the materializing FrameSink behind Session.Run: the
@@ -87,16 +96,21 @@ func Run(cfg Config) Result {
 	return NewSession(cfg).Run()
 }
 
-// Session is one fully-constructed simulation run, ready to execute.
-// Sessions are cheap to build and independent of each other: every
-// piece of mutable state (event engine, resources, RNGs, controllers)
-// is owned by the session, and all package-level state in the
-// simulator's dependency tree is immutable catalog data — so distinct
-// Sessions may Run concurrently from different goroutines. A single
-// Session is NOT safe for concurrent use, and Run must be called at
-// most once.
+// Session is one simulation run, ready to execute. Sessions are
+// independent of each other: every piece of mutable state (event
+// engine, resources, RNGs, controllers) is owned by the session, and
+// all package-level state in the simulator's dependency tree is
+// immutable catalog data — so distinct Sessions may Run concurrently
+// from different goroutines. A single Session is NOT safe for
+// concurrent use.
+//
+// A Session runs once per Reset. Reset rewinds it in place for a new
+// config, keeping everything the previous run warmed up, so a worker
+// that simulates many sessions owns one Session and resets it for
+// each. The zero value is an empty session; Reset it before running.
+// A Session must not be copied after its first Reset.
 type Session struct {
-	s *session
+	s session
 }
 
 // MeasuredFrames is the number of frames a session built from this
@@ -138,26 +152,49 @@ func normalize(cfg Config) Config {
 }
 
 // NewSession builds a runnable session from cfg, applying the
-// evaluation defaults to zero-valued fields.
+// evaluation defaults to zero-valued fields. It is a zero Session
+// plus Reset.
 func NewSession(cfg Config) *Session {
-	cfg = normalize(cfg)
+	p := &Session{}
+	p.Reset(cfg)
+	return p
+}
 
-	s := &session{
-		cfg: cfg,
-		disp: foveation.Display{
-			Width: cfg.App.Width, Height: cfg.App.Height,
-			FovH: foveation.DefaultDisplay.FovH, FovV: foveation.DefaultDisplay.FovV,
-		},
-		eng:     sim.NewEngine(),
-		st:      scene.NewState(cfg.App),
-		link:    netsim.NewLink(cfg.Network, cfg.Seed*7+3),
-		missRng: randpool.Get(cfg.Seed*13 + 5),
-		total:   cfg.Frames + cfg.Warmup,
+// Reset re-initializes the session in place for cfg, exactly as
+// NewSession(cfg) builds it. The random sources of a session that
+// never ran go back to the pool before fresh ones are taken, and every
+// stream is re-seeded, so a reused session's frames are bit-identical
+// to a new one's.
+func (p *Session) Reset(cfg Config) { p.s.reset(cfg) }
+
+func (s *session) reset(cfg Config) {
+	cfg = normalize(cfg)
+	if s.cbDispatch == nil {
+		s.bind()
 	}
-	s.part = foveation.NewPartitioner(s.disp)
-	s.tracker = motion.NewTracker(
-		motion.NewGenerator(cfg.Profile, cfg.Seed),
-		motion.DefaultTrackerHz, SensorTransmitSeconds)
+	s.cfg = cfg
+	s.disp = foveation.Display{
+		Width: cfg.App.Width, Height: cfg.App.Height,
+		FovH: foveation.DefaultDisplay.FovH, FovV: foveation.DefaultDisplay.FovV,
+	}
+	s.progress = progress{total: cfg.Frames + cfg.Warmup}
+
+	s.eng.Reset()
+	s.cpu.Reset(&s.eng, "cpu", 1)
+	s.gpuRes.Reset(&s.eng, "gpu", 1)
+	s.ucaRes.Reset(&s.eng, "uca", 1) // units folded into FrameSeconds
+	s.decRes.Reset(&s.eng, "decoder", 1)
+	s.netRes.Reset(&s.eng, "net", 1)
+	s.remRes.Reset(&s.eng, "remote", 1)
+
+	s.st.Reset(cfg.App)
+	s.link.Reset(cfg.Network, cfg.Seed*7+3)
+	randpool.Put(s.missRng)
+	s.missRng = randpool.Get(cfg.Seed*13 + 5)
+	s.part = *foveation.NewPartitioner(s.disp)
+	s.geom = liwcGeom{part: &s.part}
+	s.gen.Reset(cfg.Profile, cfg.Seed)
+	s.tracker.Reset(&s.gen, motion.DefaultTrackerHz, SensorTransmitSeconds)
 	if cfg.GazeNoiseDeg > 0 {
 		s.tracker.SetGazeNoise(cfg.GazeNoiseDeg, cfg.Seed*31+11)
 	}
@@ -165,18 +202,11 @@ func NewSession(cfg Config) *Session {
 		s.link.InjectOutage(cfg.OutageStartSeconds, cfg.OutageDurationSeconds)
 	}
 
-	s.cpu = sim.NewResource(s.eng, "cpu", 1)
-	s.gpuRes = sim.NewResource(s.eng, "gpu", 1)
-	s.ucaRes = sim.NewResource(s.eng, "uca", 1) // units folded into FrameSeconds
-	s.decRes = sim.NewResource(s.eng, "decoder", 1)
-	s.netRes = sim.NewResource(s.eng, "net", 1)
-	s.remRes = sim.NewResource(s.eng, "remote", 1)
-
 	switch cfg.Design {
 	case DFR, QVR:
-		s.ctrl = liwc.New(cfg.LIWC)
+		s.ctrl.Reset(cfg.LIWC)
 	case QVRSoftware:
-		s.sw = liwc.NewSoftware(cfg.LIWC.BudgetSeconds, cfg.LIWC.TargetFloor, cfg.LIWC.InitialE1)
+		s.sw.Reset(cfg.LIWC.BudgetSeconds, cfg.LIWC.TargetFloor, cfg.LIWC.InitialE1)
 	}
 
 	// The CPU stage cost is a pure function of the config; hoisting it
@@ -189,19 +219,30 @@ func NewSession(cfg Config) *Session {
 	if cfg.ControllerLatencySeconds > 0 && (cfg.Design == DFR || cfg.Design == QVR) {
 		s.cpuTime += cfg.ControllerLatencySeconds
 	}
-	s.geom.part = s.part
+}
+
+// bind makes the per-frame callbacks. Each method value allocates
+// once, here, and lives as long as the session.
+func (s *session) bind() {
 	s.cbFrameStart = s.frameGranted
-	s.cbDispatch = func() { s.dispatch(&s.frame) }
-	s.cbLocalRendered = s.localRendered
-	s.cbLocalComposed = s.localComposed
-	s.cbCollabBranchDone = s.collabBranchDone
-	s.cbCollabFinish = s.collabFinish
+	s.cbDispatch = s.dispatch
+	s.cbFrameDone = s.frameDone
+	s.cbATW = s.atw
 	s.cbCollabPeriphery = s.collabPeriphery
 	s.cbCollabRendered = s.collabRendered
 	s.cbCollabStreamed = s.collabStreamed
 	s.cbCollabNetDone = s.collabNetDone
 	s.cbCollabDecoded = s.collabDecoded
-	return &Session{s: s}
+	s.cbCollabBranchDone = s.collabBranchDone
+	s.cbFetchGranted = s.fetchGranted
+	s.cbFetchRendered = s.fetchRendered
+	s.cbFetchEncoded = s.fetchEncoded
+	s.cbFetchSent = s.fetchSent
+	s.cbFetchDecoded = s.fetchDecoded
+	s.cbStaticRefetch = s.staticRefetch
+	s.cbStaticCompose = s.staticCompose
+	s.cbStaticComposed = s.staticComposed
+	s.cbStaticJoin = s.staticJoin
 }
 
 // Run executes the simulation to completion and returns the measured
@@ -222,7 +263,7 @@ func (p *Session) Run() Result {
 // whatever the sink retained, which is how a large fleet avoids
 // materializing sessions x frames records.
 func (p *Session) RunSink(sink FrameSink) Result {
-	s := p.s
+	s := &p.s
 	s.sink = sink
 	s.tryIssue()
 	s.eng.Run()
@@ -269,6 +310,13 @@ type frameState struct {
 	// motionN is the codec-normalized motion magnitude, fixed at
 	// dispatch.
 	motionN float64
+	// pixels and bytes size a full-frame fetch (remote-only and
+	// static), and fetched is the callback that runs once it decodes.
+	pixels, bytes int
+	fetched       func()
+	// displayAt and staleness are the static design's composition
+	// time and prefetch age, read when its branches join.
+	displayAt, staleness float64
 }
 
 // startFrame begins frame idx with the CPU stage, then dispatches to
@@ -291,7 +339,8 @@ func (s *session) frameGranted() {
 }
 
 // dispatch routes to the design body after the CPU stage.
-func (s *session) dispatch(f *frameState) {
+func (s *session) dispatch() {
+	f := &s.frame
 	switch s.cfg.Design {
 	case LocalOnly:
 		s.frameLocalOnly(f)
@@ -302,6 +351,11 @@ func (s *session) dispatch(f *frameState) {
 	default:
 		s.frameCollaborative(f)
 	}
+}
+
+// frameDone retires the frame as displayable now.
+func (s *session) frameDone() {
+	s.finish(&s.frame, s.eng.Now().Seconds(), 0)
 }
 
 // finish records the frame and advances bookkeeping. composeDone is

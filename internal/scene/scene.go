@@ -225,7 +225,15 @@ type State struct {
 }
 
 // NewState creates the workload dynamics for app.
-func NewState(app App) *State { return &State{app: app} }
+func NewState(app App) *State {
+	s := &State{}
+	s.Reset(app)
+	return s
+}
+
+// Reset re-initializes the state in place for app, as NewState
+// returns it.
+func (s *State) Reset(app App) { *s = State{app: app} }
 
 // App returns the underlying catalog entry.
 func (s *State) App() App { return s.app }

@@ -43,10 +43,27 @@ type job struct {
 // NewResource creates a resource with the given number of servers
 // attached to engine. Capacity must be at least 1.
 func NewResource(engine *Engine, name string, capacity int) *Resource {
+	r := &Resource{}
+	r.Reset(engine, name, capacity)
+	return r
+}
+
+// Reset re-initializes the resource in place, as NewResource returns
+// it, attached to engine. Queued jobs are dropped back into the job
+// pool, which the resource keeps along with the queue's backing array.
+// Call it only with no job in service: in practice, after engine has
+// run dry or been Reset.
+func (r *Resource) Reset(engine *Engine, name string, capacity int) {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{engine: engine, name: name, capacity: capacity}
+	for i := r.head; i < len(r.queue); i++ {
+		j := r.queue[i]
+		j.onStart, j.onDone = nil, nil
+		r.free = append(r.free, j)
+		r.queue[i] = nil
+	}
+	*r = Resource{engine: engine, name: name, capacity: capacity, queue: r.queue[:0], free: r.free}
 }
 
 // Name returns the resource's diagnostic name.

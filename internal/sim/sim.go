@@ -64,7 +64,8 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 // Engine is a discrete-event simulator: a virtual clock plus an ordered
-// queue of pending events. The zero value is not usable; call NewEngine.
+// queue of pending events. The zero value is an engine with the clock
+// at zero, ready to use.
 type Engine struct {
 	now   Time
 	queue eventHeap
@@ -79,8 +80,20 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	e := &Engine{}
-	heap.Init(&e.queue)
+	e.Reset()
 	return e
+}
+
+// Reset rewinds the engine to time zero with an empty queue, as
+// NewEngine returns it. Pending events are dropped; their structs, and
+// every pooled one, stay in the pool for the next run.
+func (e *Engine) Reset() {
+	for i, ev := range e.queue {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+		e.queue[i] = nil
+	}
+	*e = Engine{queue: e.queue[:0], free: e.free}
 }
 
 // Now returns the current simulated time.

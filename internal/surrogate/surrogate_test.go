@@ -3,6 +3,7 @@ package surrogate_test
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"qvr/internal/fleet"
@@ -72,6 +73,57 @@ func TestUncalibratedFallsBackToExact(t *testing.T) {
 	}
 	if len(buf) != want.Frames {
 		t.Errorf("returned buffer holds %d samples, want %d", len(buf), want.Frames)
+	}
+}
+
+// TestConcurrentFallbackMatchesExact runs the exact fallback from
+// several goroutines at once, as fleet workers do: the recycled
+// sessions must give every config its own exact result.
+func TestConcurrentFallbackMatchesExact(t *testing.T) {
+	cfgs := testConfigs(t, 16)
+	m := surrogate.New()
+	got := make([]framesink.Summary, len(cfgs))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(cfgs); i += 4 {
+				got[i], _ = m.RunSession(cfgs[i], nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if want := exactSummary(cfg); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("config %d: concurrent fallback %+v != exact %+v", i, got[i], want)
+		}
+	}
+}
+
+// TestCalibrationMatchesExactRuns: calibration runs its whole list on
+// one reused session into one shared sample buffer, yet every exemplar
+// must be the summary of its own fresh exact run. Each config gets a
+// class of its own, so each prediction draws on exactly its exemplar.
+func TestCalibrationMatchesExactRuns(t *testing.T) {
+	cfgs := testConfigs(t, 6)
+	for i := range cfgs {
+		cfgs[i].Warmup += i
+	}
+	m := surrogate.New()
+	m.Calibrate(cfgs)
+	for i, cfg := range cfgs {
+		want := exactSummary(cfg)
+		got, _ := m.RunSession(cfg, nil)
+		if got.FPS != want.FPS || got.AvgBytesSent != want.AvgBytesSent || got.AvgE1 != want.AvgE1 ||
+			got.AvgResolutionReduction != want.AvgResolutionReduction || got.AvgEnergyJoules != want.AvgEnergyJoules {
+			t.Errorf("config %d: exemplar %+v differs from the exact run %+v", i, got, want)
+		}
+		for _, v := range got.MTPSorted {
+			if _, ok := slices.BinarySearch(want.MTPSorted, v); !ok {
+				t.Fatalf("config %d: resampled MTP %v is not one of the exact run's samples", i, v)
+			}
+		}
 	}
 }
 
