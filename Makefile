@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile profile-top alloc-top fmt vet fmt-check lint ci
+.PHONY: build test race bench bench-json perfbench-check scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke profile profile-top alloc-top fmt vet fmt-check lint ci
 
 # build compiles every package and drops the command binaries
 # (qvr-sim, qvr-bench, qvr-trace, qvr-live, qvr-fleet, qvr-scenario,
@@ -35,6 +35,25 @@ bench-json:
 	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkAutoscale|BenchmarkCapacity' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json
 	@echo "wrote bin/BENCH_edge.json ($$(wc -c < bin/BENCH_edge.json) bytes)"
 	@./scripts/bench_gate.sh bench_baseline.txt bin/BENCH_edge.json
+
+# The end-to-end benchmark's own gate. perfbench/ is a nested module
+# (qvr/perfbench, replacing qvr with this checkout), so `go test ./...`
+# at the root never reaches it: vet and test it in place, then run each
+# workload for one second and require the result line to report
+# "correct":true, so a change that breaks a workload's check or its
+# build fails here rather than in a 30-second benchmark run.
+PERFBENCH_WORKLOADS = paper-eval mega-steady capacity-probe
+
+perfbench-check:
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) -C perfbench vet ./...
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) -C perfbench test ./...
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$out" in \
+			*'"correct":true'*) echo "perfbench $$w OK: $$out" ;; \
+			*) echo "perfbench-check FAIL: $$w: $$out"; exit 1 ;; \
+		esac; \
+	done
 
 # Every smoke below enforces the same determinism contract through
 # scripts/determinism_smoke.sh: byte-identical JSON across worker pool
@@ -226,4 +245,4 @@ lint:
 	$(GO) build -o bin/qvr-vet ./cmd/qvr-vet
 	./bin/qvr-vet ./...
 
-ci: fmt-check vet lint build race bench scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke bench-json
+ci: fmt-check vet lint build race bench scenario-smoke edge-smoke autoscale-smoke scale-smoke capacity-smoke obs-smoke bench-json perfbench-check

@@ -450,9 +450,9 @@ func BenchmarkFleetStreaming(b *testing.B) {
 }
 
 // BenchmarkFleetSource is BenchmarkFleetStreaming's fleet driven
-// through Config.Source: the same 32 exact sessions, minted per index
-// inside the workers and retaining no per-session results. Its allocs
-// gate the streamed population path.
+// through Config.Source with Config.Lean: the same 32 exact sessions,
+// minted per index inside the workers and retaining no per-session
+// results. Its allocs gate the streamed population path.
 func BenchmarkFleetSource(b *testing.B) {
 	specs := streamingBenchSpecs(b)
 	src := &fleet.SpecSource{
@@ -464,7 +464,7 @@ func BenchmarkFleetSource(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s = fleet.Run(fleet.Config{Source: src, Workers: 4}).Summarize()
+		s = fleet.Run(fleet.Config{Source: src, Lean: true, Workers: 4}).Summarize()
 	}
 	b.ReportMetric(s.AggregateFPS, "agg-fps")
 	b.ReportMetric(s.P99MTPMs, "p99-mtp-ms")

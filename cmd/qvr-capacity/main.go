@@ -32,7 +32,6 @@ import (
 	"qvr/internal/capacity"
 	"qvr/internal/cliout"
 	"qvr/internal/fleet"
-	"qvr/internal/obs/series"
 	"qvr/internal/scenario"
 )
 
@@ -158,7 +157,7 @@ func main() {
 	}
 	cfg.Obs = obsFlags.Registry()
 	cfg.Tracer = obsFlags.Tracer()
-	cfg.Series = obsFlags.Recorder(seriesMeta("qvr-capacity", sc))
+	cfg.Series = obsFlags.Recorder(sc.SeriesMeta("qvr-capacity"))
 
 	rep, err := capacity.Probe(cfg)
 	if err != nil {
@@ -193,17 +192,6 @@ func main() {
 
 func fail(format string, args ...interface{}) {
 	cliout.Fail("qvr-capacity", format, args...)
-}
-
-// seriesMeta describes the run for the flight recorder's opening
-// record, including the SLO targets the per-window verdicts use.
-func seriesMeta(tool string, sc scenario.Scenario) series.Meta {
-	m := series.Meta{Tool: tool, Scenario: sc.Name}
-	if sc.SLO != nil {
-		m.SLOP99MTPMs = sc.SLO.P99MTPMs
-		m.SLOMin90FPSShare = sc.SLO.Min90FPSShare
-	}
-	return m
 }
 
 func printTable(rep capacity.Report) {

@@ -30,7 +30,6 @@ import (
 	"qvr/internal/cliout"
 	"qvr/internal/edge"
 	"qvr/internal/fleet"
-	"qvr/internal/obs/series"
 	"qvr/internal/scenario"
 )
 
@@ -105,7 +104,7 @@ func main() {
 	}
 	opt.Obs = obsFlags.Registry()
 	opt.Tracer = obsFlags.Tracer()
-	opt.Series = obsFlags.Recorder(seriesMeta("qvr-edge", sc))
+	opt.Series = obsFlags.Recorder(sc.SeriesMeta("qvr-edge"))
 	r, err := scenario.Run(sc, opt)
 	if err != nil {
 		fail("%v", err)
@@ -123,17 +122,6 @@ func main() {
 
 func fail(format string, args ...interface{}) {
 	cliout.Fail("qvr-edge", format, args...)
-}
-
-// seriesMeta describes the run for the flight recorder's opening
-// record, including the SLO targets the per-window verdicts use.
-func seriesMeta(tool string, sc scenario.Scenario) series.Meta {
-	m := series.Meta{Tool: tool, Scenario: sc.Name}
-	if sc.SLO != nil {
-		m.SLOP99MTPMs = sc.SLO.P99MTPMs
-		m.SLOMin90FPSShare = sc.SLO.Min90FPSShare
-	}
-	return m
 }
 
 // placementOf spells the effective policy (the default when unset).

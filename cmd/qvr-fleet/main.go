@@ -159,7 +159,7 @@ func printTable(r fleet.Result) {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		fmt.Printf("%-20s %-8s %5.0fMHz %-9s %8.1f %8.1f %6.0f %8.1f %10.1f\n",
-			sr.Spec.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
+			sr.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
 			st.AvgMTPSeconds*1000, st.PercentileMTP(0.99)*1000,
 			st.FPS, st.AvgE1, st.AvgBytesSent/1024)
 	}
@@ -200,7 +200,7 @@ func printJSON(r fleet.Result) {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		report.Sessions = append(report.Sessions, jsonSessionRow{
-			Name:       sr.Spec.Name,
+			Name:       sr.Name,
 			App:        cfg.App.Name,
 			GPUMHz:     cfg.GPU.FrequencyMHz,
 			Network:    cfg.Network.Name,
@@ -225,7 +225,7 @@ func printCSV(r fleet.Result) {
 		"fps", "avg_e1_deg", "kb_per_frame", "status")
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
-		w.Row(sr.Spec.Name, cfg.App.Name,
+		w.Row(sr.Name, cfg.App.Name,
 			fmt.Sprintf("%.0f", cfg.GPU.FrequencyMHz), cfg.Network.Name,
 			fmt.Sprintf("%.3f", st.AvgMTPSeconds*1000),
 			fmt.Sprintf("%.3f", st.PercentileMTP(0.99)*1000),

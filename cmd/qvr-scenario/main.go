@@ -24,7 +24,6 @@ import (
 
 	"qvr/internal/cliout"
 	"qvr/internal/fleet"
-	"qvr/internal/obs/series"
 	"qvr/internal/scenario"
 )
 
@@ -98,7 +97,7 @@ func main() {
 	}
 	opt.Obs = obsFlags.Registry()
 	opt.Tracer = obsFlags.Tracer()
-	opt.Series = obsFlags.Recorder(seriesMeta("qvr-scenario", sc))
+	opt.Series = obsFlags.Recorder(sc.SeriesMeta("qvr-scenario"))
 	r, err := scenario.Run(sc, opt)
 	if err != nil {
 		fail("%v", err)
@@ -116,17 +115,6 @@ func main() {
 
 func fail(format string, args ...interface{}) {
 	cliout.Fail("qvr-scenario", format, args...)
-}
-
-// seriesMeta describes the run for the flight recorder's opening
-// record, including the SLO targets the per-window verdicts use.
-func seriesMeta(tool string, sc scenario.Scenario) series.Meta {
-	m := series.Meta{Tool: tool, Scenario: sc.Name}
-	if sc.SLO != nil {
-		m.SLOP99MTPMs = sc.SLO.P99MTPMs
-		m.SLOMin90FPSShare = sc.SLO.Min90FPSShare
-	}
-	return m
 }
 
 func printTable(r scenario.Result) {

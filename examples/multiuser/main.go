@@ -45,7 +45,7 @@ func printSessions(r fleet.Result) {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		fmt.Printf("%-22s %-8s %5.0fMHz %-9s %8.1f %6.0f %8.1f %10.1f\n",
-			sr.Spec.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
+			sr.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
 			st.AvgMTPSeconds*1000, st.FPS, st.AvgE1, st.AvgBytesSent/1024)
 	}
 	for _, sp := range r.Dropped {

@@ -101,6 +101,8 @@ func TestLeanFidelityMatchesStandard(t *testing.T) {
 
 // TestSourceMatchesSpecs extends the equivalence to the remaining
 // layers: admission with drops, cell sharing, tracing and counters.
+// The grid case, which needs internal/edge, is
+// TestSourceMatchesSpecsOnGrid.
 func TestSourceMatchesSpecs(t *testing.T) {
 	specs := testSpecs(t, 36)
 	cluster := gpu.DefaultRemote().WithGPUs(2)
@@ -120,52 +122,66 @@ func TestSourceMatchesSpecs(t *testing.T) {
 	}
 }
 
-// checkSourceMatchesSpecs runs specs once through Config.Specs and once
-// through a SpecSource, both on a fresh cfg(). A Source-driven run is
-// the Specs run minus the per-session results: the two must give the
-// same summary, contention report, fidelity report, frame books, traces
-// and counters, and the Source run must keep no sessions.
+// checkSourceMatchesSpecs runs specs through Config.Specs, through a
+// SpecSource, and through a lean SpecSource, each on a fresh cfg().
+// The population field changes nothing: the Source run keeps the same
+// sessions as the Specs run. Lean changes only retention: both Source
+// runs must give the Specs run's summary, contention report, fidelity
+// report, frame books, traces and counters, and the lean run must keep
+// no sessions.
 func checkSourceMatchesSpecs(t *testing.T, specs []SessionSpec, cfg func() Config) {
 	t.Helper()
-	specCfg, srcCfg := cfg(), cfg()
+	specCfg, srcCfg, leanCfg := cfg(), cfg(), cfg()
 	specCfg.Specs = specs
-	srcCfg.Source = &SpecSource{
+	src := &SpecSource{
 		N:              len(specs),
 		MeasuredFrames: specs[0].Config.MeasuredFrames(),
 		At:             func(i int) SessionSpec { return specs[i] },
 	}
-	specRun, srcRun := Run(specCfg), Run(srcCfg)
+	srcCfg.Source = src
+	leanCfg.Source, leanCfg.Lean = src, true
+	specRun, srcRun, leanRun := Run(specCfg), Run(srcCfg), Run(leanCfg)
 	if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
 		t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
 	}
-	if len(srcRun.Sessions) != 0 {
-		t.Errorf("Source run kept %d sessions, want none", len(srcRun.Sessions))
+	if !reflect.DeepEqual(specRun.Sessions, srcRun.Sessions) {
+		t.Errorf("Source run's %d sessions diverged from the Specs run's %d", len(srcRun.Sessions), len(specRun.Sessions))
 	}
-	specSum, srcSum := specRun.Summarize(), srcRun.Summarize()
+	if len(leanRun.Sessions) != 0 {
+		t.Errorf("lean Source run kept %d sessions, want none", len(leanRun.Sessions))
+	}
+	specSum := specRun.Summarize()
 	specSum.Workers, specSum.WallSeconds = 0, 0
-	srcSum.Workers, srcSum.WallSeconds = 0, 0
-	if !reflect.DeepEqual(specSum, srcSum) {
-		t.Errorf("summaries diverged:\n%+v\nvs\n%+v", specSum, srcSum)
-	}
-	if !reflect.DeepEqual(specRun.Contention, srcRun.Contention) || !reflect.DeepEqual(specRun.Dropped, srcRun.Dropped) {
-		t.Errorf("contention diverged:\n%+v %d dropped\nvs\n%+v %d dropped",
-			specRun.Contention, len(specRun.Dropped), srcRun.Contention, len(srcRun.Dropped))
-	}
-	if !reflect.DeepEqual(specRun.Fidelity, srcRun.Fidelity) {
-		t.Errorf("fidelity reports diverged:\n%+v\nvs\n%+v", specRun.Fidelity, srcRun.Fidelity)
-	}
-	if specRun.TotalMeasuredFrames() != srcRun.TotalMeasuredFrames() || specRun.TotalMeasuredFrames() <= 0 {
-		t.Errorf("measured frames %d vs %d", specRun.TotalMeasuredFrames(), srcRun.TotalMeasuredFrames())
-	}
-	if specCfg.Tracer != nil && !reflect.DeepEqual(specCfg.Tracer.Doc(), srcCfg.Tracer.Doc()) {
-		t.Error("traces diverged")
-	}
-	if specCfg.Obs != nil {
-		if !reflect.DeepEqual(specCfg.Obs.Snapshot(), srcCfg.Obs.Snapshot()) {
-			t.Error("counter snapshots diverged")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		run  Result
+	}{{"Source", srcCfg, srcRun}, {"lean Source", leanCfg, leanRun}} {
+		sum := c.run.Summarize()
+		sum.Workers, sum.WallSeconds = 0, 0
+		if !reflect.DeepEqual(specSum, sum) {
+			t.Errorf("%s run: summaries diverged:\n%+v\nvs\n%+v", c.name, specSum, sum)
 		}
-		if _, err := obs.Refute(srcCfg.Obs.Snapshot(), Expectations(srcRun)); err != nil {
-			t.Errorf("Source run's counters do not reconcile: %v", err)
+		if !reflect.DeepEqual(specRun.Contention, c.run.Contention) || !reflect.DeepEqual(specRun.Dropped, c.run.Dropped) {
+			t.Errorf("%s run: contention diverged:\n%+v %d dropped\nvs\n%+v %d dropped",
+				c.name, specRun.Contention, len(specRun.Dropped), c.run.Contention, len(c.run.Dropped))
+		}
+		if !reflect.DeepEqual(specRun.Fidelity, c.run.Fidelity) {
+			t.Errorf("%s run: fidelity reports diverged:\n%+v\nvs\n%+v", c.name, specRun.Fidelity, c.run.Fidelity)
+		}
+		if specRun.TotalMeasuredFrames() != c.run.TotalMeasuredFrames() || specRun.TotalMeasuredFrames() <= 0 {
+			t.Errorf("%s run: measured frames %d vs %d", c.name, specRun.TotalMeasuredFrames(), c.run.TotalMeasuredFrames())
+		}
+		if specCfg.Tracer != nil && !reflect.DeepEqual(specCfg.Tracer.Doc(), c.cfg.Tracer.Doc()) {
+			t.Errorf("%s run: traces diverged", c.name)
+		}
+		if specCfg.Obs != nil {
+			if !reflect.DeepEqual(specCfg.Obs.Snapshot(), c.cfg.Obs.Snapshot()) {
+				t.Errorf("%s run: counter snapshots diverged", c.name)
+			}
+			if _, err := obs.Refute(c.cfg.Obs.Snapshot(), Expectations(c.run)); err != nil {
+				t.Errorf("%s run's counters do not reconcile: %v", c.name, err)
+			}
 		}
 	}
 }

@@ -31,9 +31,10 @@
 // reusable sink plus one pre-sized sample buffer for its whole shard —
 // following the partition-over-share guidance that scales this to
 // 100k-session scenarios. The population is either a spec slice
-// (Config.Specs, per-session results kept) or a per-index generator
-// (Config.Source, nothing per session kept), which is what carries a
-// timeline to a million sessions; both run the same shard loop.
+// (Config.Specs) or a per-index generator (Config.Source) that each
+// worker mints its own shard from; both run the same shard loop.
+// Retention is its own choice: a Config.Lean run keeps only the
+// roll-up, which is what carries a timeline to a million sessions.
 //
 // Each session remains a fully deterministic single-threaded
 // simulation; concurrency lives only between sessions, and every
@@ -103,13 +104,17 @@ type Config struct {
 	// comparison lands in Result.Fidelity.
 	Fidelity *Fidelity
 	// Source, when set, replaces Specs with a pure per-index spec
-	// generator. The run is the same; only retention differs: a Source
-	// run keeps no per-session results (Result.Sessions stays empty),
-	// just the roll-up, so a million-session timeline fits a CI memory
-	// budget. Admission, Placer and CellCapacity decide over the whole
-	// population, so with any of them on the source is materialized
-	// first.
+	// generator: each worker mints its shard's specs as it runs them,
+	// so the population never exists in memory as a slice. The run and
+	// its results are the same as a Specs run. Admission, Placer and
+	// CellCapacity decide over the whole population, so with any of
+	// them on the source is materialized first.
 	Source *SpecSource
+	// Lean keeps no per-session results: Result.Sessions stays empty
+	// and the run keeps only the roll-up, so a million-session
+	// timeline fits a CI memory budget. The science is the same either
+	// way.
+	Lean bool
 }
 
 // SpecSource is a population as a pure per-index spec generator in
@@ -148,14 +153,14 @@ func (src *SpecSource) materialize() []SessionSpec {
 	return specs
 }
 
-// SessionResult pairs a spec with its completed simulation: the
-// config the session actually ran (reflecting the admission layer's
-// adjustments — shared cluster, queue delay, scaled bandwidth) and
-// the compact streamed metrics. Full per-frame records are never
-// retained; a consumer that needs them runs the spec's Config through
+// SessionResult is one completed session: its name, the config it
+// actually ran (reflecting the admission layer's adjustments — shared
+// cluster, queue delay, scaled bandwidth — on top of the requested
+// spec's) and the compact streamed metrics. Full per-frame records are
+// never retained; a consumer that needs them runs Config through
 // pipeline directly with a framesink.RecordSink.
 type SessionResult struct {
-	Spec   SessionSpec
+	Name   string
 	Config pipeline.Config
 	Stats  framesink.Summary
 }
@@ -163,7 +168,7 @@ type SessionResult struct {
 // Result is a completed fleet run.
 type Result struct {
 	// Sessions holds the admitted sessions in spec order. It stays
-	// empty in a Config.Source run.
+	// empty in a Config.Lean run.
 	Sessions []SessionResult
 	// Dropped lists the sessions the admission layer rejected.
 	Dropped []SessionSpec
@@ -235,7 +240,7 @@ func Run(cfg Config) Result {
 	}
 
 	var results []SessionResult
-	if cfg.Source == nil {
+	if !cfg.Lean {
 		results = make([]SessionResult, n)
 	}
 	tallies := make([]tally, n)
@@ -359,7 +364,7 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 		}
 		tallies[i] = tally{fps: sum.FPS, bytes: sum.AvgBytesSent}
 		if results != nil {
-			results[i] = SessionResult{Spec: sp, Config: ran, Stats: sum}
+			results[i] = SessionResult{Name: sp.Name, Config: ran, Stats: sum}
 		}
 	}
 	return buf, exactFrames

@@ -71,11 +71,11 @@ func TestSessionsAreHeterogeneousAndOrdered(t *testing.T) {
 	seeds := map[int64]bool{}
 	apps := map[string]bool{}
 	for i, sr := range r.Sessions {
-		if sr.Spec.Name != specs[i].Name {
-			t.Fatalf("session %d out of order: got %q want %q", i, sr.Spec.Name, specs[i].Name)
+		if sr.Name != specs[i].Name {
+			t.Fatalf("session %d out of order: got %q want %q", i, sr.Name, specs[i].Name)
 		}
-		seeds[sr.Spec.Config.Seed] = true
-		apps[sr.Spec.Config.App.Name] = true
+		seeds[sr.Config.Seed] = true
+		apps[sr.Config.App.Name] = true
 	}
 	if len(seeds) != len(specs) {
 		t.Errorf("expected unique seeds, got %d for %d sessions", len(seeds), len(specs))
@@ -159,7 +159,7 @@ func TestContentionSlowsRemoteChain(t *testing.T) {
 	for _, sr := range loaded.Sessions {
 		if sr.Config.RemoteQueueSeconds != loaded.Contention.QueueSeconds {
 			t.Fatalf("session %q queue delay = %v, want %v",
-				sr.Spec.Name, sr.Config.RemoteQueueSeconds, loaded.Contention.QueueSeconds)
+				sr.Name, sr.Config.RemoteQueueSeconds, loaded.Contention.QueueSeconds)
 		}
 	}
 	fp, lp := free.Summarize().P95MTPMs, loaded.Summarize().P95MTPMs
@@ -191,7 +191,7 @@ func TestCellSharingDeratesBandwidth(t *testing.T) {
 			want := nominal.BandwidthBps * factor
 			if math.Abs(sr.Config.Network.BandwidthBps-want) > 1 {
 				t.Errorf("session %q on %q: bandwidth %v, want %v",
-					sr.Spec.Name, name, sr.Config.Network.BandwidthBps, want)
+					sr.Name, name, sr.Config.Network.BandwidthBps, want)
 			}
 		}
 	}
@@ -304,7 +304,7 @@ func TestOutageFailsOverToLocal(t *testing.T) {
 	}
 	for _, sr := range outage.Sessions {
 		if sr.Config.Design != pipeline.LocalOnly {
-			t.Errorf("session %q still on design %v during outage", sr.Spec.Name, sr.Config.Design)
+			t.Errorf("session %q still on design %v during outage", sr.Name, sr.Config.Design)
 		}
 	}
 	if s := outage.Summarize(); s.FailedOver != len(specs) {

@@ -2,6 +2,7 @@ package foveation
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -393,6 +394,38 @@ func TestPartitionBitIdenticalToReference(t *testing.T) {
 						break
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPartitionMatchesReferenceRandom holds Partition to the reference
+// scan bit for bit on seeded random inputs nobody picked: fovea radii
+// a little past both ends of [MinE1, MaxE1], gazes a little past the
+// display edges, and random quality floors, so the scan's winner lands
+// before, at and after the point where the outer scale meets its
+// floor.
+func TestPartitionMatchesReferenceRandom(t *testing.T) {
+	const inputs = 100_000
+	rng := rand.New(rand.NewSource(20))
+	d := DefaultDisplay
+	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	for n := 0; n < inputs; n++ {
+		p := &Partitioner{Display: d, MAR: DefaultMAR, MidScaleFloor: rng.Float64(), OuterScaleFloor: rng.Float64()}
+		e1 := uniform(MinE1-1, MaxE1+1)
+		gx := uniform(-d.FovH/2-5, d.FovH/2+5)
+		gy := uniform(-d.FovV/2-5, d.FovV/2+5)
+		got, gotErr := p.Partition(e1, gx, gy)
+		want, wantErr := refPartition(p, e1, gx, gy)
+		if gotErr != wantErr {
+			t.Fatalf("Partition(%v, %v, %v) floors %v/%v: error %v, reference %v",
+				e1, gx, gy, p.MidScaleFloor, p.OuterScaleFloor, gotErr, wantErr)
+		}
+		g, w := partitionBits(got), partitionBits(want)
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("Partition(%v, %v, %v) floors %v/%v: word %d = %v, reference %v",
+					e1, gx, gy, p.MidScaleFloor, p.OuterScaleFloor, i, g[i], w[i])
 			}
 		}
 	}

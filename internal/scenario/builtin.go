@@ -321,8 +321,8 @@ sessions = 20000
 
 	// giga-steady: the mixed-fidelity scale proof. A million active
 	// sessions — two orders past mega-steady — made affordable by the
-	// [fidelity] section: lean keeps no per-session results, so each
-	// phase mints its specs transiently inside the fleet workers, the
+	// [fidelity] section: each phase mints its specs transiently inside
+	// the fleet workers, lean keeps no per-session results, the
 	// calibrated analytic surrogate serves the bulk, and a 0.2% stratified exact-DES sample refutes the
 	// surrogate per metric every phase (the run fails loudly if any
 	// error bound is exceeded). Tiny frame counts keep even a million

@@ -4,7 +4,20 @@ import (
 	"math"
 
 	"qvr/internal/obs"
+	"qvr/internal/obs/series"
 )
+
+// SeriesMeta describes a run of the scenario by tool for the flight
+// recorder's opening record, including the SLO targets the per-window
+// verdicts use.
+func (sc Scenario) SeriesMeta(tool string) series.Meta {
+	m := series.Meta{Tool: tool, Scenario: sc.Name}
+	if sc.SLO != nil {
+		m.SLOP99MTPMs = sc.SLO.P99MTPMs
+		m.SLOMin90FPSShare = sc.SLO.Min90FPSShare
+	}
+	return m
+}
 
 // Expectations derives the invariants a completed timeline's counters
 // must satisfy from its result — the scenario-level half of the

@@ -93,6 +93,7 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 	fc := fleetConfig(sc, opt, grid, sc.GPUs)
 	fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
 	fc.Source = &fleet.SpecSource{N: n, MeasuredFrames: mint(0).Config.MeasuredFrames(), At: mint}
+	fc.Lean = true
 	r := fleet.Run(fc)
 	if fr := r.Fidelity; fr != nil {
 		if err := obs.RefuteSurrogate(fr.Checks); err != nil {

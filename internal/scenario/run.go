@@ -58,7 +58,7 @@ type PhaseResult struct {
 	Arrived, Departed int
 	Active            int
 	// Fleet is the full fleet result for the window (per-session
-	// records included).
+	// records included, unless the scenario's [fidelity] is lean).
 	Fleet fleet.Result
 	// Summary is the windowed metric roll-up, positioned on the
 	// scenario clock. Host artifacts (wall time, worker count) are
@@ -247,14 +247,8 @@ func Run(sc Scenario, opt Options) (Result, error) {
 		}
 		fc := fleetConfig(sc, opt, grid, phaseGPUs(sc, ph))
 		fc.TraceLabel = ph.Name
-		if sc.Fidelity != nil && sc.Fidelity.Lean {
-			fc.Source = src
-		} else {
-			fc.Specs = make([]fleet.SessionSpec, src.N)
-			for i := range fc.Specs {
-				fc.Specs[i] = src.At(i)
-			}
-		}
+		fc.Source = src
+		fc.Lean = sc.Fidelity != nil && sc.Fidelity.Lean
 		r := fleet.Run(fc)
 		if fr := r.Fidelity; fr != nil {
 			// Refute-and-refine, the failing half: a surrogate that

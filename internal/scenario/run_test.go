@@ -86,7 +86,7 @@ func TestClusterOutageFailover(t *testing.T) {
 	}
 	for _, sr := range outage.Fleet.Sessions {
 		if sr.Config.Design != pipeline.LocalOnly {
-			t.Errorf("session %q not failed over during outage", sr.Spec.Name)
+			t.Errorf("session %q not failed over during outage", sr.Name)
 		}
 	}
 	sp99, op99, fp99 := steady.Summary.Summary.P99MTPMs, outage.Summary.Summary.P99MTPMs, failback.Summary.Summary.P99MTPMs
@@ -145,14 +145,14 @@ func TestFlashCrowdPopulation(t *testing.T) {
 	// Carried identity: every baseline user is still there mid-spike.
 	inSpike := map[string]bool{}
 	for _, sr := range spike.Fleet.Sessions {
-		inSpike[sr.Spec.Name] = true
+		inSpike[sr.Name] = true
 	}
 	for _, sp := range spike.Fleet.Dropped {
 		inSpike[sp.Name] = true
 	}
 	for _, sr := range base.Fleet.Sessions {
-		if !inSpike[sr.Spec.Name] {
-			t.Errorf("baseline session %q vanished during the spike", sr.Spec.Name)
+		if !inSpike[sr.Name] {
+			t.Errorf("baseline session %q vanished during the spike", sr.Name)
 		}
 	}
 }
@@ -164,10 +164,10 @@ func TestPhaseSeedsDiffer(t *testing.T) {
 	seeds := map[string]map[int64]bool{}
 	for _, p := range r.Phases {
 		for _, sr := range p.Fleet.Sessions {
-			if seeds[sr.Spec.Name] == nil {
-				seeds[sr.Spec.Name] = map[int64]bool{}
+			if seeds[sr.Name] == nil {
+				seeds[sr.Name] = map[int64]bool{}
 			}
-			seeds[sr.Spec.Name][sr.Config.Seed] = true
+			seeds[sr.Name][sr.Config.Seed] = true
 		}
 	}
 	for name, set := range seeds {
@@ -184,7 +184,7 @@ func TestChurnReplacesOldest(t *testing.T) {
 	names := func(p PhaseResult) map[string]bool {
 		set := map[string]bool{}
 		for _, sr := range p.Fleet.Sessions {
-			set[sr.Spec.Name] = true
+			set[sr.Name] = true
 		}
 		for _, sp := range p.Fleet.Dropped {
 			set[sp.Name] = true
@@ -222,7 +222,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 		cond := sr.Config.Network
 		nominal, ok := netsim.ConditionByName(cond.Name)
 		if !ok {
-			t.Fatalf("session %q on unknown condition %q", sr.Spec.Name, cond.Name)
+			t.Fatalf("session %q on unknown condition %q", sr.Name, cond.Name)
 		}
 		want := nominal.BandwidthBps
 		if cond.Name == "Wi-Fi" || cond.Name == "4G LTE" {
@@ -230,7 +230,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 			scaled++
 		}
 		if cond.BandwidthBps != want {
-			t.Errorf("brownout session %q bandwidth %v, want %v", sr.Spec.Name, cond.BandwidthBps, want)
+			t.Errorf("brownout session %q bandwidth %v, want %v", sr.Name, cond.BandwidthBps, want)
 		}
 	}
 	if scaled == 0 {
@@ -239,7 +239,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 	for _, sr := range recovered.Fleet.Sessions {
 		nominal, _ := netsim.ConditionByName(sr.Config.Network.Name)
 		if sr.Config.Network.BandwidthBps != nominal.BandwidthBps {
-			t.Errorf("derate leaked into recovery for %q: %v", sr.Spec.Name, sr.Config.Network.BandwidthBps)
+			t.Errorf("derate leaked into recovery for %q: %v", sr.Name, sr.Config.Network.BandwidthBps)
 		}
 	}
 	if brown.Summary.Summary.P99MTPMs <= r.Phases[0].Summary.Summary.P99MTPMs {
@@ -288,7 +288,7 @@ func TestEdgeRegionalOutage(t *testing.T) {
 	handoffs := 0
 	for _, sr := range outage.Fleet.Sessions {
 		if sr.Config.RemoteClusterName == "eu-central" {
-			t.Errorf("session %q still bound to the dead site", sr.Spec.Name)
+			t.Errorf("session %q still bound to the dead site", sr.Name)
 		}
 		if sr.Config.RemoteHandoffSeconds > 0 {
 			handoffs++
@@ -629,11 +629,11 @@ func TestAutoscaleFlapChargesOneHandoffPerMove(t *testing.T) {
 		// ...and the handoff stall is charged to exactly the movers.
 		for _, sr := range p.Fleet.Sessions {
 			charged := sr.Config.RemoteHandoffSeconds > 0
-			if charged && moved[sr.Spec.Name] == 0 {
-				t.Errorf("phase %q charged unmoved session %q a handoff", p.Phase.Name, sr.Spec.Name)
+			if charged && moved[sr.Name] == 0 {
+				t.Errorf("phase %q charged unmoved session %q a handoff", p.Phase.Name, sr.Name)
 			}
-			if !charged && moved[sr.Spec.Name] > 0 && sr.Config.RemoteClusterName != "" {
-				t.Errorf("phase %q moved session %q without a handoff", p.Phase.Name, sr.Spec.Name)
+			if !charged && moved[sr.Name] > 0 && sr.Config.RemoteClusterName != "" {
+				t.Errorf("phase %q moved session %q without a handoff", p.Phase.Name, sr.Name)
 			}
 		}
 		if p.Phase.ClusterGPUs["east"] == 0 && len(p.Phase.ClusterGPUs) > 0 {
@@ -690,7 +690,7 @@ func TestStreamingEquivalenceAcrossTimeline(t *testing.T) {
 			st := sr.Stats
 			if st.Frames != len(full.Frames) {
 				t.Fatalf("phase %q session %q: %d streamed frames, %d materialized",
-					p.Phase.Name, sr.Spec.Name, st.Frames, len(full.Frames))
+					p.Phase.Name, sr.Name, st.Frames, len(full.Frames))
 			}
 			for name, pair := range map[string][2]float64{
 				"avg_mtp": {st.AvgMTPSeconds, full.AvgMTPSeconds()},
@@ -700,7 +700,7 @@ func TestStreamingEquivalenceAcrossTimeline(t *testing.T) {
 			} {
 				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 					t.Errorf("phase %q session %q: %s streamed %v != materialized %v",
-						p.Phase.Name, sr.Spec.Name, name, pair[0], pair[1])
+						p.Phase.Name, sr.Name, name, pair[0], pair[1])
 				}
 			}
 			checked++

@@ -112,10 +112,10 @@ type Fidelity struct {
 	// Calibration is the exact runs per calibration class that build
 	// the surrogate's exemplar table (calibration key); 0 = default.
 	Calibration int
-	// Lean keeps no per-session results: each phase's fleet run mints
-	// its specs per index inside the workers and retains only the
-	// roll-up, so PhaseResult.Fleet.Sessions stays empty — the
-	// million-session mode. The science is the same either way.
+	// Lean keeps no per-session results: each phase's fleet run
+	// retains only the roll-up (fleet.Config.Lean), so
+	// PhaseResult.Fleet.Sessions stays empty — the million-session
+	// mode. The science is the same either way.
 	Lean bool
 	// Tolerance is the per-metric error budget (tolerance.* keys);
 	// zero fields take the fleet defaults.
