@@ -32,7 +32,7 @@ bench:
 # never silently skip.
 bench-json:
 	@mkdir -p bin
-	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkAutoscale|BenchmarkCapacity' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json
+	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkScenario|BenchmarkAutoscale|BenchmarkCapacity' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json
 	@echo "wrote bin/BENCH_edge.json ($$(wc -c < bin/BENCH_edge.json) bytes)"
 	@./scripts/bench_gate.sh bench_baseline.txt bin/BENCH_edge.json
 

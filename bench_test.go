@@ -450,7 +450,7 @@ func BenchmarkFleetStreaming(b *testing.B) {
 }
 
 // BenchmarkFleetSource is BenchmarkFleetStreaming's fleet driven
-// through Config.Source with Config.Lean: the same 32 exact sessions,
+// through Config.Source with no Each sink: the same 32 exact sessions,
 // minted per index inside the workers and retaining no per-session
 // results. Its allocs gate the streamed population path.
 func BenchmarkFleetSource(b *testing.B) {
@@ -464,7 +464,7 @@ func BenchmarkFleetSource(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s = fleet.Run(fleet.Config{Source: src, Lean: true, Workers: 4}).Summarize()
+		s = fleet.Run(fleet.Config{Source: src, Workers: 4}).Summarize()
 	}
 	b.ReportMetric(s.AggregateFPS, "agg-fps")
 	b.ReportMetric(s.P99MTPMs, "p99-mtp-ms")
@@ -661,6 +661,38 @@ func BenchmarkEdgeRegionalOutage(b *testing.B) {
 	}
 	b.ReportMetric(float64(roll.TotalMigrated), "migrations")
 	b.ReportMetric(roll.DegradationFactor, "outage-p99-x")
+}
+
+// BenchmarkScenarioSteady is mega-steady in miniature: the built-in's
+// ramp, peak and sustain phases at a hundredth of their population
+// (420 session-windows), 2 measured frames after 1 warm-up, workers 4.
+// Its allocs gate the scenario driver's per-phase path, which hands
+// each population to the fleet as a Source and keeps no per-session
+// results.
+func BenchmarkScenarioSteady(b *testing.B) {
+	sc, err := scenario.Builtin("mega-steady")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc.Phases = append([]scenario.Phase(nil), sc.Phases...)
+	sessions := 0
+	for i := range sc.Phases {
+		sc.Phases[i].Sessions /= 100
+		sessions += sc.Phases[i].Sessions
+	}
+	opt := scenario.Options{Workers: 4, FramesOverride: 2, WarmupOverride: scenario.Warmup(1)}
+	var roll fleet.Rollup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := scenario.Run(sc, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		roll = r.Rollup
+	}
+	b.ReportMetric(roll.WorstP99Ms, "worst-p99-mtp-ms")
+	b.ReportMetric(float64(sessions*b.N)/b.Elapsed().Seconds(), "sessions/s")
 }
 
 // BenchmarkAutoscaleFlashCrowd runs the closed-loop capacity story in

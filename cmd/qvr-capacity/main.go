@@ -208,12 +208,8 @@ func printTable(rep capacity.Report) {
 	fmt.Printf("  search [%d, %d]; knee grid %d points +-%.0f%%; window %.0f s; frames %d, warmup %d\n",
 		p.MinSessions, p.MaxSessions, p.GridPoints, p.GridSpan*100, p.WindowSeconds, p.Frames, p.Warmup)
 	if p.ExactFraction > 0 {
-		lean := ""
-		if p.Lean {
-			lean = ", no per-session results kept"
-		}
-		fmt.Printf("  fidelity: surrogate fast path, %.2f%% exact sample%s; knee confirmed by exact DES\n",
-			p.ExactFraction*100, lean)
+		fmt.Printf("  fidelity: surrogate fast path, %.2f%% exact sample; knee confirmed by exact DES\n",
+			p.ExactFraction*100)
 	}
 	fmt.Println()
 

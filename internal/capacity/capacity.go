@@ -177,12 +177,11 @@ type Params struct {
 	ScaleWorkers      []int   `json:"scale_workers,omitempty"`
 	SessionsPerWorker int     `json:"sessions_per_worker,omitempty"`
 	StrongSessions    int     `json:"strong_sessions,omitempty"`
-	// ExactFraction/Calibration/Lean echo the scenario's [fidelity]
+	// ExactFraction/Calibration echo the scenario's [fidelity]
 	// declaration when the probe rode the calibrated fast path
 	// (omitted for exact-only probes).
 	ExactFraction float64 `json:"exact_fraction,omitempty"`
 	Calibration   int     `json:"calibration,omitempty"`
-	Lean          bool    `json:"lean,omitempty"`
 }
 
 // Report is a completed capacity probe.
@@ -391,7 +390,6 @@ func Probe(cfg Config) (Report, error) {
 	if f := sc.Fidelity; f != nil {
 		rep.Params.ExactFraction = f.ExactFraction
 		rep.Params.Calibration = f.Calibration
-		rep.Params.Lean = f.Lean
 	}
 	emit := func(e Event) {
 		if cfg.Observer != nil {

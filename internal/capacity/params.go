@@ -84,9 +84,6 @@ func WriteParams(w io.Writer, rep Report, topo edge.Topology, placement string) 
 				return err
 			}
 		}
-		if err := line("fidelity.lean", "%t", p.Lean); err != nil {
-			return err
-		}
 	}
 	if ke := rep.KneeExact; ke != nil {
 		// Both readings of the knee, side by side: the fast-path sweep's

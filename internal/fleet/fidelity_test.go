@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,7 +84,8 @@ func TestFidelitySplitBooks(t *testing.T) {
 
 // TestLeanExactOnlyMatchesStandard: a Source-driven run with no
 // fidelity config runs every session on the exact simulator and must
-// reproduce the Specs run exactly. This is the regression test for
+// reproduce the Specs run exactly, through its Each sink or with no
+// sink at all. This is the regression test for
 // the shard-buffer truncation bug, where a streamed shard's merged
 // percentiles silently collapsed to its last session's samples.
 func TestLeanExactOnlyMatchesStandard(t *testing.T) {
@@ -123,40 +125,76 @@ func TestSourceMatchesSpecs(t *testing.T) {
 }
 
 // checkSourceMatchesSpecs runs specs through Config.Specs, through a
-// SpecSource, and through a lean SpecSource, each on a fresh cfg().
-// The population field changes nothing: the Source run keeps the same
-// sessions as the Specs run. Lean changes only retention: both Source
-// runs must give the Specs run's summary, contention report, fidelity
-// report, frame books, traces and counters, and the lean run must keep
-// no sessions.
+// SpecSource with an Each sink at workers 1 and 4, and through a
+// SpecSource with no sink, each on a fresh cfg(). The population field
+// changes nothing: the sink receives exactly the Specs run's Sessions,
+// each index once (in index order on one worker), and neither Source
+// run fills Result.Sessions. Retention changes nothing either: every
+// Source run must give the Specs run's summary, contention report,
+// fidelity report, frame books, traces and counters.
 func checkSourceMatchesSpecs(t *testing.T, specs []SessionSpec, cfg func() Config) {
 	t.Helper()
-	specCfg, srcCfg, leanCfg := cfg(), cfg(), cfg()
+	specCfg := cfg()
 	specCfg.Specs = specs
+	specRun := Run(specCfg)
+	if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
+		t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
+	}
 	src := &SpecSource{
 		N:              len(specs),
 		MeasuredFrames: specs[0].Config.MeasuredFrames(),
 		At:             func(i int) SessionSpec { return specs[i] },
 	}
-	srcCfg.Source = src
-	leanCfg.Source, leanCfg.Lean = src, true
-	specRun, srcRun, leanRun := Run(specCfg), Run(srcCfg), Run(leanCfg)
-	if len(specRun.Sessions) != len(specs)-len(specRun.Dropped) {
-		t.Fatalf("Specs run kept %d sessions, want %d", len(specRun.Sessions), len(specs)-len(specRun.Dropped))
-	}
-	if !reflect.DeepEqual(specRun.Sessions, srcRun.Sessions) {
-		t.Errorf("Source run's %d sessions diverged from the Specs run's %d", len(srcRun.Sessions), len(specRun.Sessions))
-	}
-	if len(leanRun.Sessions) != 0 {
-		t.Errorf("lean Source run kept %d sessions, want none", len(leanRun.Sessions))
-	}
-	specSum := specRun.Summarize()
-	specSum.Workers, specSum.WallSeconds = 0, 0
-	for _, c := range []struct {
+	type sourceRun struct {
 		name string
 		cfg  Config
 		run  Result
-	}{{"Source", srcCfg, srcRun}, {"lean Source", leanCfg, leanRun}} {
+	}
+	var runs []sourceRun
+	for _, workers := range []int{1, 4} {
+		c := cfg()
+		c.Source, c.Workers = src, workers
+		got := make([]SessionResult, len(specRun.Sessions))
+		calls := make([]int, len(got))
+		var order []int
+		c.Each = func(i int, sr SessionResult) {
+			got[i] = sr
+			calls[i]++
+			if workers == 1 {
+				order = append(order, i)
+			}
+		}
+		name := fmt.Sprintf("Source+Each workers=%d", workers)
+		r := Run(c)
+		for i, k := range calls {
+			if k != 1 {
+				t.Errorf("%s: sink called %d times for index %d", name, k, i)
+			}
+		}
+		for k, i := range order {
+			if i != k {
+				t.Fatalf("%s: sink call %d was for index %d; one worker must go in index order", name, k, i)
+			}
+		}
+		if !reflect.DeepEqual(specRun.Sessions, got) {
+			t.Errorf("%s: the sink's %d sessions diverged from the Specs run's", name, len(got))
+		}
+		if len(r.Sessions) != 0 {
+			t.Errorf("%s: kept %d sessions besides the sink, want none", name, len(r.Sessions))
+		}
+		runs = append(runs, sourceRun{name, c, r})
+	}
+	plainCfg := cfg()
+	plainCfg.Source = src
+	plainRun := Run(plainCfg)
+	if len(plainRun.Sessions) != 0 {
+		t.Errorf("Source run without a sink kept %d sessions, want none", len(plainRun.Sessions))
+	}
+	runs = append(runs, sourceRun{"Source", plainCfg, plainRun})
+
+	specSum := specRun.Summarize()
+	specSum.Workers, specSum.WallSeconds = 0, 0
+	for _, c := range runs {
 		sum := c.run.Summarize()
 		sum.Workers, sum.WallSeconds = 0, 0
 		if !reflect.DeepEqual(specSum, sum) {

@@ -33,8 +33,9 @@
 // 100k-session scenarios. The population is either a spec slice
 // (Config.Specs) or a per-index generator (Config.Source) that each
 // worker mints its own shard from; both run the same shard loop.
-// Retention is its own choice: a Config.Lean run keeps only the
-// roll-up, which is what carries a timeline to a million sessions.
+// A Source run keeps only its roll-up unless Config.Each takes the
+// per-session results, which is what carries a timeline to a million
+// sessions.
 //
 // Each session remains a fully deterministic single-threaded
 // simulation; concurrency lives only between sessions, and every
@@ -110,11 +111,11 @@ type Config struct {
 	// CellCapacity decide over the whole population, so with any of
 	// them on the source is materialized first.
 	Source *SpecSource
-	// Lean keeps no per-session results: Result.Sessions stays empty
-	// and the run keeps only the roll-up, so a million-session
-	// timeline fits a CI memory budget. The science is the same either
-	// way.
-	Lean bool
+	// Each, when set, receives admitted session i's result (i in
+	// Result.Sessions order) from the worker that ran it, concurrently
+	// across indices. Without it a Specs run fills Result.Sessions and
+	// a Source run keeps no per-session results.
+	Each func(i int, sr SessionResult)
 }
 
 // SpecSource is a population as a pure per-index spec generator in
@@ -167,8 +168,8 @@ type SessionResult struct {
 
 // Result is a completed fleet run.
 type Result struct {
-	// Sessions holds the admitted sessions in spec order. It stays
-	// empty in a Config.Lean run.
+	// Sessions holds the admitted sessions in spec order. Only a Specs
+	// run without a Config.Each sink fills it.
 	Sessions []SessionResult
 	// Dropped lists the sessions the admission layer rejected.
 	Dropped []SessionSpec
@@ -190,7 +191,7 @@ type Result struct {
 }
 
 // tally is the part of a session's result the roll-up needs, kept for
-// every session whether or not its SessionResult is.
+// every session whether or not anything receives its SessionResult.
 type tally struct{ fps, bytes float64 }
 
 // Run simulates every admitted session across the worker pool and
@@ -240,8 +241,9 @@ func Run(cfg Config) Result {
 	}
 
 	var results []SessionResult
-	if !cfg.Lean {
+	if cfg.Each == nil && cfg.Source == nil {
 		results = make([]SessionResult, n)
+		cfg.Each = func(i int, sr SessionResult) { results[i] = sr }
 	}
 	tallies := make([]tally, n)
 	bufs := make([][]float64, workers)
@@ -258,7 +260,7 @@ func Run(cfg Config) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			bufs[w], frames[w] = runShard(cfg, src, fid, traceRun, lo, hi, results, tallies)
+			bufs[w], frames[w] = runShard(cfg, src, fid, traceRun, lo, hi, tallies)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -288,9 +290,9 @@ func Run(cfg Config) Result {
 // warmed the simulator's pools. When counters are on, the worker also
 // owns one registry shard and one StageSink reused across its whole
 // range — the per-frame path stays allocation-free either way. It
-// writes tallies (and results, when kept) at each session's index and
+// writes tallies (and calls cfg.Each) at each session's index and
 // returns the shard's sample buffer plus its exact-DES frame count.
-func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi int, results []SessionResult, tallies []tally) ([]float64, int64) {
+func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi int, tallies []tally) ([]float64, int64) {
 	buf := make([]float64, 0, (hi-lo)*src.MeasuredFrames)
 	var predBuf []float64
 	if fid != nil {
@@ -363,8 +365,8 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 			}
 		}
 		tallies[i] = tally{fps: sum.FPS, bytes: sum.AvgBytesSent}
-		if results != nil {
-			results[i] = SessionResult{Name: sp.Name, Config: ran, Stats: sum}
+		if cfg.Each != nil {
+			cfg.Each(i, SessionResult{Name: sp.Name, Config: ran, Stats: sum})
 		}
 	}
 	return buf, exactFrames

@@ -8,7 +8,7 @@ import (
 	"qvr/internal/obs"
 )
 
-// TestSourceMatchesSpecsOnGrid holds the Specs/Source/lean equivalence
+// TestSourceMatchesSpecsOnGrid holds the Specs/Source/sink equivalence
 // on an edge grid whose run migrates sessions. Each fresh grid places
 // the population once, then loses its nearest site for "us" users, so
 // the run under test re-places those sessions and charges each one a

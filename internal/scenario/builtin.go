@@ -322,11 +322,12 @@ sessions = 20000
 	// giga-steady: the mixed-fidelity scale proof. A million active
 	// sessions — two orders past mega-steady — made affordable by the
 	// [fidelity] section: each phase mints its specs transiently inside
-	// the fleet workers, lean keeps no per-session results, the
-	// calibrated analytic surrogate serves the bulk, and a 0.2% stratified exact-DES sample refutes the
-	// surrogate per metric every phase (the run fails loudly if any
-	// error bound is exceeded). Tiny frame counts keep even a million
-	// sessions inside a CI smoke budget.
+	// the fleet workers and keeps no per-session results, the
+	// calibrated analytic surrogate serves the bulk, and a 0.2%
+	// stratified exact-DES sample refutes the surrogate per metric
+	// every phase (the run fails loudly if any error bound is
+	// exceeded). Tiny frame counts keep even a million sessions inside
+	// a CI smoke budget.
 	"giga-steady": `
 [scenario]
 name   = giga-steady
@@ -336,7 +337,6 @@ warmup = 2
 
 [fidelity]
 exact-fraction = 0.002
-lean           = true
 
 [phase ramp]
 duration = 60

@@ -167,7 +167,6 @@ warmup = 4
 
 [fidelity]
 exact-fraction  = 0.25
-lean            = true
 # Miniature phases yield single-digit exact samples; see withFidelity
 # on why target_share needs a granularity-matched budget here.
 tolerance.share = 0.3
@@ -181,27 +180,15 @@ duration = 30
 sessions = 90
 `
 
-// withLean returns sc with its [fidelity] lean key set to lean,
-// declaring a section when sc has none (ExactOnly keeps its surrogate
-// off either way).
-func withLean(sc Scenario, lean bool) Scenario {
-	f := Fidelity{ExactFraction: 0.25}
-	if sc.Fidelity != nil {
-		f = *sc.Fidelity
-	}
-	f.Lean = lean
-	sc.Fidelity = &f
-	return sc
-}
-
-// TestLeanTimelineMatchesStandard: lean only drops the per-session
-// results, it never changes the science. Every built-in (grid,
-// admission, autoscale, per-phase mix and net-scale included) run
-// lean and standard must produce byte-identical phase summaries,
-// roll-up, autoscale report and fidelity reports. The built-ins run
-// exact-only; leanEquivScenario keeps the surrogate on. mega-steady
-// is left to the scale smoke, and giga-steady runs at a ten-thousandth
-// of its population so its exact-only run stays small.
+// TestLeanTimelineMatchesStandard: handing every session to a sink
+// never changes the science. Every built-in (grid, admission,
+// autoscale, per-phase mix and net-scale included) run through Run,
+// which keeps nothing per session, and through the sink, which
+// receives every admitted session, must produce byte-identical phase
+// summaries, roll-up, autoscale report and fidelity reports. The
+// built-ins run exact-only; leanEquivScenario keeps the surrogate on.
+// mega-steady is left to the scale smoke, and giga-steady runs at a
+// ten-thousandth of its population so its exact-only run stays small.
 func TestLeanTimelineMatchesStandard(t *testing.T) {
 	equiv, err := ParseString(leanEquivScenario)
 	if err != nil {
@@ -229,16 +216,11 @@ func TestLeanTimelineMatchesStandard(t *testing.T) {
 		rows = append(rows, row{name, sc, exact})
 	}
 
-	report := func(sc Scenario, opt Options) []byte {
-		r := mustRun(t, sc, opt)
+	report := func(r Result) []byte {
 		sums, roll := phaseDigest(r)
 		fids := make([]*fleet.FidelityReport, len(r.Phases))
 		for i, p := range r.Phases {
 			fids[i] = p.Fleet.Fidelity
-			kept, lean := len(p.Fleet.Sessions), sc.Fidelity.Lean
-			if lean && kept != 0 || !lean && kept+len(p.Fleet.Dropped) != p.Active {
-				t.Errorf("%s phase %q: lean=%v kept %d of %d sessions", sc.Name, p.Phase.Name, lean, kept, p.Active)
-			}
 		}
 		blob, err := json.Marshal(struct {
 			Sums      []fleet.PhaseSummary
@@ -253,10 +235,17 @@ func TestLeanTimelineMatchesStandard(t *testing.T) {
 	}
 	for _, rw := range rows {
 		t.Run(rw.name, func(t *testing.T) {
-			lean := report(withLean(rw.sc, true), rw.opt)
-			std := report(withLean(rw.sc, false), rw.opt)
-			if !bytes.Equal(lean, std) {
-				t.Errorf("lean run diverged from standard run:\n%s\nvs\n%s", lean, std)
+			plain := mustRun(t, rw.sc, rw.opt)
+			for _, p := range plain.Phases {
+				if kept := len(p.Fleet.Sessions); kept != 0 {
+					t.Errorf("phase %q kept %d of %d sessions, want none", p.Phase.Name, kept, p.Active)
+				}
+			}
+			// runKeeping fails the test unless the sink received every
+			// admitted session of every phase.
+			sunk, _ := runKeeping(t, rw.sc, rw.opt)
+			if got, want := report(plain), report(sunk); !bytes.Equal(got, want) {
+				t.Errorf("run without a sink diverged from the sink run:\n%s\nvs\n%s", got, want)
 			}
 		})
 	}
@@ -287,7 +276,7 @@ func TestSeriesCarriesFidelityGauge(t *testing.T) {
 // TestFidelityBuiltinNamesAnnotatesFastPath: the registry must know
 // which built-ins declare the fast path (qvr-scenario -list renders
 // the annotation from this), and giga-steady — the 1M-session proof —
-// must be one of them, in lean mode.
+// must be one of them.
 func TestFidelityBuiltinNamesAnnotatesFastPath(t *testing.T) {
 	names := FidelityBuiltinNames()
 	found := false
@@ -298,9 +287,6 @@ func TestFidelityBuiltinNamesAnnotatesFastPath(t *testing.T) {
 		}
 		if name == "giga-steady" {
 			found = true
-			if !sc.Fidelity.Lean {
-				t.Error("giga-steady must keep no per-session results (lean)")
-			}
 		}
 	}
 	if !found {

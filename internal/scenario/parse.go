@@ -87,8 +87,10 @@ import (
 //	[fidelity]
 //	exact-fraction  = 0.05 # per-class exact-DES share, in (0,1]
 //	calibration     = 3    # exact runs per class for the exemplar table
-//	lean            = true # keep no per-session results: million-session mode
 //	tolerance.mtp   = 0.15 # per-metric error budgets (fps/bytes/share too)
+//
+// The retired lean key still parses, as true or false, and changes
+// nothing: no scenario run keeps per-session results.
 //
 // Phases execute in file order. Unknown keys are errors: a typo in a
 // scenario file should fail loudly, not silently simulate something
@@ -430,12 +432,9 @@ func setFidelityKey(f *Fidelity, key, value string) error {
 	case "calibration":
 		return parseNonNegInt(value, key, &f.Calibration)
 	case "lean":
-		switch value {
-		case "true":
-			f.Lean = true
-		case "false":
-			f.Lean = false
-		default:
+		// Retired (no run keeps per-session results): older files still
+		// parse, and a non-boolean value still fails.
+		if value != "true" && value != "false" {
 			return fmt.Errorf("lean: expected true or false, got %q", value)
 		}
 	default:

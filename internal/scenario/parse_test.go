@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,6 +192,11 @@ func TestPositionedParseErrors(t *testing.T) {
 			"[scenario]\nname=x\n[cluster c]\ngpus=1\n[cluster c]\ngpus=2\n[phase a]\nduration=1\n",
 			"line 5", "duplicate [cluster c] section (first declared on line 3)",
 		},
+		{
+			"non-boolean retired lean key",
+			"[scenario]\nname=x\n[fidelity]\nexact-fraction = 0.1\nlean = maybe\n[phase a]\nduration=1\n",
+			"line 5", `lean: expected true or false, got "maybe"`,
+		},
 	}
 	for _, c := range cases {
 		_, err := ParseString(c.text)
@@ -348,5 +354,26 @@ func TestBuiltinsParseAndValidate(t *testing.T) {
 	}
 	if _, err := Builtin("no-such"); err == nil {
 		t.Error("unknown built-in should error")
+	}
+}
+
+// TestParseRetiredLeanKey: [fidelity] lean no longer selects anything,
+// since no run keeps per-session results, but scenario files that set
+// it still parse, to the same scenario as a file without the key.
+func TestParseRetiredLeanKey(t *testing.T) {
+	const file = "[scenario]\nname=x\n[fidelity]\nexact-fraction = 0.1\n%s[phase a]\nduration=1\n"
+	want, err := ParseString(strings.Replace(file, "%s", "", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, value := range []string{"true", "false"} {
+		got, err := ParseString(strings.Replace(file, "%s", "lean = "+value+"\n", 1))
+		if err != nil {
+			t.Errorf("lean = %s: %v", value, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lean = %s changed the scenario:\n%+v\nvs\n%+v", value, got, want)
+		}
 	}
 }

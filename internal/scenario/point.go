@@ -54,13 +54,7 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 	if n <= 0 {
 		return PointResult{}, fmt.Errorf("scenario %q: point session count %d must be positive", sc.Name, n)
 	}
-	frames, warmup := sc.Frames, sc.Warmup
-	if opt.FramesOverride > 0 {
-		frames = opt.FramesOverride
-	}
-	if opt.WarmupOverride != nil && *opt.WarmupOverride >= 0 {
-		warmup = *opt.WarmupOverride
-	}
+	frames, warmup := frameCounts(sc, opt)
 
 	// A point is phase-less: global indices 0..n-1, no seed shift, so
 	// mint(i) is mix.Specs's session i, minted inside the workers.
@@ -73,27 +67,19 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 	// Grid mode gets a fresh scheduler per point: capacity is a
 	// steady-state question, so placements start from scratch rather
 	// than inheriting another point's stickiness.
-	var grid *edge.Grid
-	if len(sc.Topology.Clusters) > 0 {
-		policy, _ := edge.PolicyByName(sc.Placement)
-		grid, err = edge.NewGrid(sc.Topology, policy)
-		if err != nil {
-			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		if sc.MigrationPenaltyMs >= 0 {
-			grid.HandoffSeconds = sc.MigrationPenaltyMs / 1000
-		}
-		grid.SetObs(opt.Obs)
+	grid, err := newGrid(sc, opt)
+	if err != nil {
+		return PointResult{}, err
+	}
+	if grid != nil {
 		if err := grid.BeginPhase(nil, nil); err != nil {
 			return PointResult{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 	}
 
-	// PointResult exposes no sessions, so the run keeps none.
 	fc := fleetConfig(sc, opt, grid, sc.GPUs)
 	fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
 	fc.Source = &fleet.SpecSource{N: n, MeasuredFrames: mint(0).Config.MeasuredFrames(), At: mint}
-	fc.Lean = true
 	r := fleet.Run(fc)
 	if fr := r.Fidelity; fr != nil {
 		if err := obs.RefuteSurrogate(fr.Checks); err != nil {
@@ -116,6 +102,37 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 		pt.GPUs = sc.GPUs
 	}
 	return pt, nil
+}
+
+// frameCounts resolves the measured and warmup frame counts a run
+// uses: the scenario's own, unless opt overrides them.
+func frameCounts(sc Scenario, opt Options) (frames, warmup int) {
+	frames, warmup = sc.Frames, sc.Warmup
+	if opt.FramesOverride > 0 {
+		frames = opt.FramesOverride
+	}
+	if opt.WarmupOverride != nil && *opt.WarmupOverride >= 0 {
+		warmup = *opt.WarmupOverride
+	}
+	return frames, warmup
+}
+
+// newGrid builds the scenario's edge grid with its placement policy,
+// handoff penalty and counters; nil outside grid mode.
+func newGrid(sc Scenario, opt Options) (*edge.Grid, error) {
+	if len(sc.Topology.Clusters) == 0 {
+		return nil, nil
+	}
+	policy, _ := edge.PolicyByName(sc.Placement) // "" -> default (Validate vetted the rest)
+	grid, err := edge.NewGrid(sc.Topology, policy)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	if sc.MigrationPenaltyMs >= 0 {
+		grid.HandoffSeconds = sc.MigrationPenaltyMs / 1000
+	}
+	grid.SetObs(opt.Obs)
+	return grid, nil
 }
 
 // fleetConfig builds the fleet run configuration both the timeline

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"qvr/internal/autoscale"
-	"qvr/internal/edge"
 	"qvr/internal/fleet"
 	"qvr/internal/obs"
 	"qvr/internal/obs/series"
@@ -39,9 +38,7 @@ type Options struct {
 	Series *series.Recorder
 	// ExactOnly disables the scenario's [fidelity] fast path for this
 	// run: every session goes through the exact DES. The capacity
-	// prober uses it to confirm a fast-path knee exactly. A lean
-	// scenario still keeps no per-session results — ExactOnly strips
-	// only the surrogate.
+	// prober uses it to confirm a fast-path knee exactly.
 	ExactOnly bool
 }
 
@@ -57,8 +54,9 @@ type PhaseResult struct {
 	// plus dropped).
 	Arrived, Departed int
 	Active            int
-	// Fleet is the full fleet result for the window (per-session
-	// records included, unless the scenario's [fidelity] is lean).
+	// Fleet is the window's fleet result: roll-up, drops, contention
+	// and fidelity report. It keeps no per-session results, so
+	// Fleet.Sessions is always empty.
 	Fleet fleet.Result
 	// Summary is the windowed metric roll-up, positioned on the
 	// scenario clock. Host artifacts (wall time, worker count) are
@@ -100,33 +98,25 @@ const phaseSeedStride = 1_000_003
 // running the fleet engine once per phase window. The result is
 // deterministic for a given scenario regardless of Options.Workers.
 func Run(sc Scenario, opt Options) (Result, error) {
+	return run(sc, opt, nil)
+}
+
+// run is Run with an optional per-session sink: each, when set,
+// receives phase pi's admitted session i from the fleet worker that
+// ran it (see fleet.Config.Each), concurrently across indices.
+func run(sc Scenario, opt Options, each func(pi, i int, sr fleet.SessionResult)) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	frames, warmup := sc.Frames, sc.Warmup
-	if opt.FramesOverride > 0 {
-		frames = opt.FramesOverride
-	}
-	if opt.WarmupOverride != nil && *opt.WarmupOverride >= 0 {
-		warmup = *opt.WarmupOverride
-	}
+	frames, warmup := frameCounts(sc, opt)
 
 	out := Result{Scenario: sc}
 
 	// Grid mode: one scheduler for the whole timeline, so placements
 	// are sticky across phases and site outages surface as migrations.
-	var grid *edge.Grid
-	if len(sc.Topology.Clusters) > 0 {
-		policy, _ := edge.PolicyByName(sc.Placement) // "" -> default (Validate vetted the rest)
-		var err error
-		grid, err = edge.NewGrid(sc.Topology, policy)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		if sc.MigrationPenaltyMs >= 0 {
-			grid.HandoffSeconds = sc.MigrationPenaltyMs / 1000
-		}
-		grid.SetObs(opt.Obs)
+	grid, err := newGrid(sc, opt)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// The closed loop: one controller for the whole timeline, observing
@@ -248,7 +238,9 @@ func Run(sc Scenario, opt Options) (Result, error) {
 		fc := fleetConfig(sc, opt, grid, phaseGPUs(sc, ph))
 		fc.TraceLabel = ph.Name
 		fc.Source = src
-		fc.Lean = sc.Fidelity != nil && sc.Fidelity.Lean
+		if each != nil {
+			fc.Each = func(i int, sr fleet.SessionResult) { each(pi, i, sr) }
+		}
 		r := fleet.Run(fc)
 		if fr := r.Fidelity; fr != nil {
 			// Refute-and-refine, the failing half: a surrogate that

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 
 	"qvr/internal/fleet"
@@ -31,6 +32,46 @@ func mustRun(t *testing.T, sc Scenario, opt Options) Result {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// runKeeping runs sc through the unexported sink and returns, beside
+// the result, each phase's admitted per-session results in index
+// order: what Run itself never keeps.
+func runKeeping(t *testing.T, sc Scenario, opt Options) (Result, [][]fleet.SessionResult) {
+	t.Helper()
+	var mu sync.Mutex
+	var kept [][]fleet.SessionResult
+	r, err := run(sc, opt, func(pi, i int, sr fleet.SessionResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		for len(kept) <= pi {
+			kept = append(kept, nil)
+		}
+		for len(kept[pi]) <= i {
+			kept[pi] = append(kept[pi], fleet.SessionResult{})
+		}
+		kept[pi][i] = sr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(kept) < len(r.Phases) {
+		kept = append(kept, nil)
+	}
+	for pi, p := range r.Phases {
+		if admitted := p.Active - len(p.Fleet.Dropped); len(kept[pi]) != admitted {
+			t.Fatalf("phase %q: sink received %d sessions, want %d admitted", p.Phase.Name, len(kept[pi]), admitted)
+		}
+		for i, sr := range kept[pi] {
+			if sr.Name == "" {
+				t.Fatalf("phase %q: sink never received session %d", p.Phase.Name, i)
+			}
+		}
+		if len(p.Fleet.Sessions) != 0 {
+			t.Fatalf("phase %q kept %d sessions in its fleet result", p.Phase.Name, len(p.Fleet.Sessions))
+		}
+	}
+	return r, kept
 }
 
 // phaseDigest reduces a run to its science: phase summaries and the
@@ -71,7 +112,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 // degrades during the outage phase (every session failed over to
 // local-only) and recovers when the cluster comes back.
 func TestClusterOutageFailover(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "cluster-outage-failover"), tiny)
+	r, kept := runKeeping(t, mustBuiltin(t, "cluster-outage-failover"), tiny)
 	if len(r.Phases) != 3 {
 		t.Fatalf("want 3 phases, got %d", len(r.Phases))
 	}
@@ -84,7 +125,7 @@ func TestClusterOutageFailover(t *testing.T) {
 	if n := len(outage.Fleet.Dropped); n != 0 {
 		t.Errorf("outage dropped %d sessions; failover must not drop", n)
 	}
-	for _, sr := range outage.Fleet.Sessions {
+	for _, sr := range kept[1] {
 		if sr.Config.Design != pipeline.LocalOnly {
 			t.Errorf("session %q not failed over during outage", sr.Name)
 		}
@@ -111,7 +152,7 @@ func TestClusterOutageFailover(t *testing.T) {
 // spike sextuples the fleet, the 2-GPU cluster (16 admit slots) drops
 // the overflow, and the drain lets the crowd go.
 func TestFlashCrowdPopulation(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "flash-crowd"), tiny)
+	r, kept := runKeeping(t, mustBuiltin(t, "flash-crowd"), tiny)
 	if len(r.Phases) != 4 {
 		t.Fatalf("want 4 phases, got %d", len(r.Phases))
 	}
@@ -144,13 +185,13 @@ func TestFlashCrowdPopulation(t *testing.T) {
 	}
 	// Carried identity: every baseline user is still there mid-spike.
 	inSpike := map[string]bool{}
-	for _, sr := range spike.Fleet.Sessions {
+	for _, sr := range kept[1] {
 		inSpike[sr.Name] = true
 	}
 	for _, sp := range spike.Fleet.Dropped {
 		inSpike[sp.Name] = true
 	}
-	for _, sr := range base.Fleet.Sessions {
+	for _, sr := range kept[0] {
 		if !inSpike[sr.Name] {
 			t.Errorf("baseline session %q vanished during the spike", sr.Name)
 		}
@@ -160,10 +201,10 @@ func TestFlashCrowdPopulation(t *testing.T) {
 // TestPhaseSeedsDiffer: a carried session re-simulates each phase
 // from a fresh derived seed, not a replay of the previous window.
 func TestPhaseSeedsDiffer(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "steady"), tiny)
+	r, kept := runKeeping(t, mustBuiltin(t, "steady"), tiny)
 	seeds := map[string]map[int64]bool{}
-	for _, p := range r.Phases {
-		for _, sr := range p.Fleet.Sessions {
+	for pi := range r.Phases {
+		for _, sr := range kept[pi] {
 			if seeds[sr.Name] == nil {
 				seeds[sr.Name] = map[int64]bool{}
 			}
@@ -180,10 +221,11 @@ func TestPhaseSeedsDiffer(t *testing.T) {
 // TestChurnReplacesOldest: each churn phase keeps the population size
 // but swaps the oldest half for brand-new arrivals.
 func TestChurnReplacesOldest(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "churn"), tiny)
-	names := func(p PhaseResult) map[string]bool {
+	r, kept := runKeeping(t, mustBuiltin(t, "churn"), tiny)
+	names := func(pi int) map[string]bool {
+		p := r.Phases[pi]
 		set := map[string]bool{}
-		for _, sr := range p.Fleet.Sessions {
+		for _, sr := range kept[pi] {
 			set[sr.Name] = true
 		}
 		for _, sp := range p.Fleet.Dropped {
@@ -191,13 +233,13 @@ func TestChurnReplacesOldest(t *testing.T) {
 		}
 		return set
 	}
-	prev := names(r.Phases[0])
-	for _, p := range r.Phases[1:] {
+	prev := names(0)
+	for pi, p := range r.Phases[1:] {
 		if p.Active != 16 || p.Arrived != 8 || p.Departed != 8 {
 			t.Errorf("phase %q population edits wrong: active=%d arrived=%d departed=%d",
 				p.Phase.Name, p.Active, p.Arrived, p.Departed)
 		}
-		cur := names(p)
+		cur := names(pi + 1)
 		carried := 0
 		for n := range cur {
 			if prev[n] {
@@ -215,10 +257,10 @@ func TestChurnReplacesOldest(t *testing.T) {
 // cells' sessions see scaled bandwidth; afterwards the nominal
 // conditions are restored (derates must not leak across phases).
 func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "net-brownout"), tiny)
-	brown, recovered := r.Phases[1], r.Phases[2]
+	r, kept := runKeeping(t, mustBuiltin(t, "net-brownout"), tiny)
+	brown := r.Phases[1]
 	scaled := 0
-	for _, sr := range brown.Fleet.Sessions {
+	for _, sr := range kept[1] {
 		cond := sr.Config.Network
 		nominal, ok := netsim.ConditionByName(cond.Name)
 		if !ok {
@@ -236,7 +278,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 	if scaled == 0 {
 		t.Fatal("brownout touched no sessions; mix should include Wi-Fi/LTE users")
 	}
-	for _, sr := range recovered.Fleet.Sessions {
+	for _, sr := range kept[2] {
 		nominal, _ := netsim.ConditionByName(sr.Config.Network.Name)
 		if sr.Config.Network.BandwidthBps != nominal.BandwidthBps {
 			t.Errorf("derate leaked into recovery for %q: %v", sr.Name, sr.Config.Network.BandwidthBps)
@@ -253,11 +295,11 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 // dropped, zero failed over), pay the handoff in the outage window,
 // and sticky placement holds them after failback.
 func TestEdgeRegionalOutage(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "edge-regional-outage"), tiny)
+	r, kept := runKeeping(t, mustBuiltin(t, "edge-regional-outage"), tiny)
 	if len(r.Phases) != 3 {
 		t.Fatalf("want 3 phases, got %d", len(r.Phases))
 	}
-	steady, outage, failback := r.Phases[0], r.Phases[1], r.Phases[2]
+	outage, failback := r.Phases[1], r.Phases[2]
 
 	for _, p := range r.Phases {
 		if p.Fleet.Contention.Grid == nil {
@@ -273,7 +315,7 @@ func TestEdgeRegionalOutage(t *testing.T) {
 
 	// The steady phase must use the EU site, or the outage is vacuous.
 	euUsers := 0
-	for _, sr := range steady.Fleet.Sessions {
+	for _, sr := range kept[0] {
 		if sr.Config.RemoteClusterName == "eu-central" {
 			euUsers++
 		}
@@ -286,7 +328,7 @@ func TestEdgeRegionalOutage(t *testing.T) {
 		t.Errorf("outage migrated %d sessions, want the eu-central population %d", got, euUsers)
 	}
 	handoffs := 0
-	for _, sr := range outage.Fleet.Sessions {
+	for _, sr := range kept[1] {
 		if sr.Config.RemoteClusterName == "eu-central" {
 			t.Errorf("session %q still bound to the dead site", sr.Name)
 		}
@@ -610,10 +652,10 @@ func TestAutoscaleFlapChargesOneHandoffPerMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := mustRun(t, sc, tiny)
+	r, kept := runKeeping(t, sc, tiny)
 
 	outageMigrations := 0
-	for _, p := range r.Phases {
+	for pi, p := range r.Phases {
 		g := p.Fleet.Contention.Grid
 		if g == nil {
 			t.Fatalf("phase %q missing grid report", p.Phase.Name)
@@ -627,7 +669,7 @@ func TestAutoscaleFlapChargesOneHandoffPerMove(t *testing.T) {
 			}
 		}
 		// ...and the handoff stall is charged to exactly the movers.
-		for _, sr := range p.Fleet.Sessions {
+		for _, sr := range kept[pi] {
 			charged := sr.Config.RemoteHandoffSeconds > 0
 			if charged && moved[sr.Name] == 0 {
 				t.Errorf("phase %q charged unmoved session %q a handoff", p.Phase.Name, sr.Name)
@@ -676,10 +718,10 @@ func TestAutoscaleFlapChargesOneHandoffPerMove(t *testing.T) {
 // for bit — including sessions carrying WAN paths, migration handoffs
 // and autoscaler-resized clusters.
 func TestStreamingEquivalenceAcrossTimeline(t *testing.T) {
-	r := mustRun(t, mustBuiltin(t, "edge-autoscale-flashcrowd"), tiny)
+	r, kept := runKeeping(t, mustBuiltin(t, "edge-autoscale-flashcrowd"), tiny)
 	checked := 0
-	for _, p := range r.Phases {
-		for i, sr := range p.Fleet.Sessions {
+	for pi, p := range r.Phases {
+		for i, sr := range kept[pi] {
 			// Every config shape is covered by the first few sessions
 			// of each phase; re-running all of them would just be slow.
 			if i >= 4 {
@@ -737,12 +779,12 @@ sessions = 6
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := mustRun(t, sc, tiny)
+	r, kept := runKeeping(t, sc, tiny)
 	if len(r.Phases) != 3 {
 		t.Fatalf("got %d phases", len(r.Phases))
 	}
 	drained := r.Phases[1]
-	if drained.Active != 0 || len(drained.Fleet.Sessions) != 0 {
+	if drained.Active != 0 || len(kept[1]) != 0 {
 		t.Fatalf("drained phase ran %d sessions", drained.Active)
 	}
 	s := drained.Summary.Summary
