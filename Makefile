@@ -7,7 +7,8 @@ GO ?= go
 
 # build compiles every package and drops the command binaries
 # (qvr-sim, qvr-bench, qvr-trace, qvr-live, qvr-fleet, qvr-scenario,
-# qvr-edge, qvr-capacity, qvr-tracecheck, qvr-report) into ./bin.
+# qvr-capacity, qvr-tracecheck, qvr-report, qvr-vet) into ./bin.
+# qvr-scenario runs every scenario, grid or not.
 build:
 	$(GO) build ./...
 	$(GO) build -o bin/ ./cmd/...
@@ -75,9 +76,9 @@ scenario-smoke:
 # sessions migrating (not dropping) through the outage.
 edge-smoke:
 	@mkdir -p bin
-	$(GO) run ./cmd/qvr-edge -builtin edge-regional-outage -frames 8 -warmup 4
+	$(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
 	@SMOKE_COUNTERS=1 ./scripts/determinism_smoke.sh edge edge 1 7 '' \
-		$(GO) run ./cmd/qvr-edge -builtin edge-regional-outage -frames 8 -warmup 4
+		$(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
 
 # Autoscale smoke: the flash-crowd autoscaling built-in in miniature,
 # then the closed loop's two contracts — determinism (the controller's
@@ -87,9 +88,9 @@ edge-smoke:
 # phase rows, so the last "gpu_seconds" is the timeline total).
 autoscale-smoke:
 	@mkdir -p bin
-	$(GO) run ./cmd/qvr-edge -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4
+	$(GO) run ./cmd/qvr-scenario -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4
 	@SMOKE_COUNTERS=1 ./scripts/determinism_smoke.sh autoscale autoscale 1 4 '' \
-		$(GO) run ./cmd/qvr-edge -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4
+		$(GO) run ./cmd/qvr-scenario -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4
 	@awk -F': *' '/"gpu_seconds"/ { gsub(/,/, "", $$2); used = $$2 } \
 		/"static_peak_gpu_seconds"/ { gsub(/,/, "", $$2); peak = $$2 } \
 		END { \
@@ -187,7 +188,7 @@ capacity-smoke:
 # during a real run and validates the Prometheus text exposition.
 obs-smoke:
 	@mkdir -p bin
-	$(GO) run ./cmd/qvr-edge -builtin edge-regional-outage -frames 8 -warmup 4 \
+	$(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4 \
 		-counters bin/obs-counters.ndjson \
 		-trace bin/obs-trace.json -trace-sessions 24 > /dev/null
 	$(GO) run ./cmd/qvr-tracecheck bin/obs-trace.json
@@ -197,13 +198,13 @@ obs-smoke:
 		|| { echo "obs smoke FAIL: no phase instant marks in bin/obs-trace.json"; exit 1; }
 	@echo "obs trace OK: migration handoff span + phase instant marks"
 	@SMOKE_SERIES=1 ./scripts/determinism_smoke.sh obs-series obs 1 4 '' \
-		$(GO) run ./cmd/qvr-edge -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4 \
+		$(GO) run ./cmd/qvr-scenario -builtin edge-autoscale-flashcrowd -frames 8 -warmup 4 \
 			-series-interval 30
 	$(GO) run ./cmd/qvr-report -series bin/obs-series-w1.ndjson -o bin/obs-report.html
 	@grep -q 'Per-cluster GPUs' bin/obs-report.html \
 		|| { echo "obs smoke FAIL: bin/obs-report.html lost the grid charts"; exit 1; }
 	@echo "obs report OK: bin/obs-report.html ($$(wc -c < bin/obs-report.html) bytes)"
-	./scripts/metrics_smoke.sh $(GO) run ./cmd/qvr-edge -builtin edge-regional-outage -frames 8 -warmup 4
+	./scripts/metrics_smoke.sh $(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
 
 # Profile the scale scenario: CPU + end-of-run heap profiles of the
 # real fleet workload (not a synthetic benchmark), for the

@@ -1,54 +1,35 @@
 package main
 
 import (
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"sync"
+	"bytes"
 	"testing"
 
 	"qvr/internal/cliout"
 	"qvr/internal/scenario"
 )
 
-var (
-	binOnce sync.Once
-	binDir  string
-	binErr  error
-)
-
-// renderBuiltin runs a built-in through the command that reports it
-// (qvr-edge for grid scenarios) once per format and returns each
-// report's bytes.
+// renderBuiltin runs a built-in once, as `qvr-scenario -builtin name
+// -frames 2 -warmup 1 -workers n` does, and returns its report in
+// every format.
 func renderBuiltin(t *testing.T, name string, workers int) map[cliout.Format][]byte {
 	t.Helper()
-	binOnce.Do(func() {
-		if binDir, binErr = os.MkdirTemp("", "qvr-cli-golden"); binErr != nil {
-			return
-		}
-		binErr = exec.Command("go", "build", "-o", binDir+string(filepath.Separator),
-			"qvr/cmd/qvr-scenario", "qvr/cmd/qvr-edge").Run()
-	})
-	if binErr != nil {
-		t.Fatal(binErr)
-	}
 	sc, err := scenario.Builtin(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool := "qvr-scenario"
-	if len(sc.Topology.Clusters) > 0 {
-		tool = "qvr-edge"
+	r, err := scenario.Run(sc, scenario.Options{
+		Workers: workers, FramesOverride: 2, WarmupOverride: scenario.Warmup(1),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	out := map[cliout.Format][]byte{}
 	for _, form := range cliout.Formats {
-		b, err := exec.Command(filepath.Join(binDir, tool), "-builtin", name, "-format", string(form),
-			"-frames", "2", "-warmup", "1", "-workers", strconv.Itoa(workers)).Output()
-		if err != nil {
-			t.Fatalf("%s %s: %v", tool, form, err)
+		var buf bytes.Buffer
+		if err := report(&buf, r, form); err != nil {
+			t.Fatal(err)
 		}
-		out[form] = b
+		out[form] = buf.Bytes()
 	}
 	return out
 }

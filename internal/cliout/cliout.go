@@ -3,7 +3,7 @@
 // encoder, a minimal CSV writer with standard quoting, and the
 // uniform fatal-error exit. The science stays in the commands; the
 // formatting conventions live here once, so qvr-fleet, qvr-scenario
-// and qvr-edge cannot drift apart.
+// and qvr-capacity cannot drift apart.
 package cliout
 
 import (

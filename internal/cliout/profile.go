@@ -9,7 +9,7 @@ import (
 
 // Profiling support shared by the fleet-facing commands. The
 // measure-then-tune loop needs profiles of the real workload, not a
-// synthetic benchmark: qvr-fleet, qvr-scenario and qvr-edge all take
+// synthetic benchmark: qvr-fleet, qvr-scenario and qvr-capacity all take
 // -cpuprofile/-memprofile flags and run the identical two-line hook.
 
 // StartProfiles begins CPU profiling into cpuPath and arranges a heap

@@ -356,7 +356,7 @@ sessions = 1000000
 	// boring, because it exists to be *probed*: `qvr-capacity` binary-
 	// searches the session count this topology sustains inside the
 	// [slo] targets and sweeps the knee curve around it. It runs fine
-	// under qvr-edge too (one phase, attainment-only SLO report).
+	// under qvr-scenario too (one phase, attainment-only SLO report).
 	"capacity-probe": `
 [scenario]
 name      = capacity-probe
@@ -435,32 +435,5 @@ func BuiltinNames() []string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return names
-}
-
-// FidelityBuiltinNames lists the built-in scenarios that declare a
-// [fidelity] section — the set capable of the calibrated analytic
-// fast path, which qvr-scenario's -list output annotates.
-func FidelityBuiltinNames() []string {
-	var names []string
-	for _, name := range BuiltinNames() {
-		if sc, err := Builtin(name); err == nil && sc.Fidelity != nil {
-			names = append(names, sc.Name)
-		}
-	}
-	return names
-}
-
-// GridBuiltinNames lists the built-in scenarios that declare an edge
-// grid topology ([cluster] sections), sorted — the set qvr-edge runs.
-// Hoisted here (from qvr-edge's private filter) so every CLI's -list
-// output comes from the one registry and cannot drift from it.
-func GridBuiltinNames() []string {
-	var names []string
-	for _, name := range BuiltinNames() {
-		if sc, err := Builtin(name); err == nil && len(sc.Topology.Clusters) > 0 {
-			names = append(names, sc.Name)
-		}
-	}
 	return names
 }

@@ -272,24 +272,3 @@ func TestSeriesCarriesFidelityGauge(t *testing.T) {
 		t.Fatal("no phases ran")
 	}
 }
-
-// TestFidelityBuiltinNamesAnnotatesFastPath: the registry must know
-// which built-ins declare the fast path (qvr-scenario -list renders
-// the annotation from this), and giga-steady — the 1M-session proof —
-// must be one of them.
-func TestFidelityBuiltinNamesAnnotatesFastPath(t *testing.T) {
-	names := FidelityBuiltinNames()
-	found := false
-	for _, name := range names {
-		sc := mustBuiltin(t, name)
-		if sc.Fidelity == nil {
-			t.Errorf("%s listed as fidelity-capable but declares no [fidelity] section", name)
-		}
-		if name == "giga-steady" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("giga-steady missing from FidelityBuiltinNames: %v", names)
-	}
-}

@@ -351,6 +351,10 @@ func TestBuiltinsParseAndValidate(t *testing.T) {
 		if len(sc.Phases) < minPhases {
 			t.Errorf("built-in %q has only %d phases", name, len(sc.Phases))
 		}
+		// giga-steady is the million-session proof of the fast path.
+		if name == "giga-steady" && sc.Fidelity == nil {
+			t.Error("giga-steady declares no [fidelity] section")
+		}
 	}
 	if _, err := Builtin("no-such"); err == nil {
 		t.Error("unknown built-in should error")

@@ -6,41 +6,6 @@ import (
 	"testing"
 )
 
-// TestGridBuiltinNamesMatchTopologies pins the contract behind every
-// CLI's -list output: GridBuiltinNames is exactly the topology-bearing
-// subset of the registry, sorted, using the registered names. Both
-// qvr-edge's -builtin help and its -list loop print this function, so
-// this test is the drift gate the old per-command filters lacked.
-func TestGridBuiltinNamesMatchTopologies(t *testing.T) {
-	grid := GridBuiltinNames()
-	seen := map[string]bool{}
-	for _, name := range grid {
-		seen[name] = true
-	}
-	prev := ""
-	for _, name := range grid {
-		if name <= prev {
-			t.Errorf("grid built-ins not sorted: %q after %q", name, prev)
-		}
-		prev = name
-	}
-	for _, name := range BuiltinNames() {
-		sc, err := Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		isGrid := len(sc.Topology.Clusters) > 0
-		if isGrid != seen[name] {
-			t.Errorf("built-in %q: topology=%v but GridBuiltinNames lists it=%v",
-				name, isGrid, seen[name])
-		}
-		delete(seen, name)
-	}
-	for name := range seen {
-		t.Errorf("GridBuiltinNames lists %q, which is not a registered built-in", name)
-	}
-}
-
 // TestReadmeListsEveryBuiltin keeps the README's built-in tables in
 // step with the registry — the drift this PR fixed (the docs said
 // "nine"/"ten" while eleven existed) stays fixed.

@@ -24,9 +24,8 @@
 // edge-regional-outage, edge-imbalance, edge-autoscale-flashcrowd and
 // capacity-probe. They are written in the same file format the parser
 // accepts, so they double as format documentation and parser test
-// vectors (BuiltinNames/GridBuiltinNames enumerate them; a registry
-// test keeps this comment, the CLIs' -list output and the README
-// tables in sync).
+// vectors (BuiltinNames enumerates them; a registry test keeps this
+// comment and the README tables in sync).
 //
 // A grid scenario may additionally declare an [slo] section (quality
 // targets reported per phase) and autoscale.* keys, which close the
