@@ -80,16 +80,11 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 	fc := fleetConfig(sc, opt, grid, sc.GPUs)
 	fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
 	fc.Source = &fleet.SpecSource{N: n, MeasuredFrames: mint(0).Config.MeasuredFrames(), At: mint}
-	r := fleet.Run(fc)
-	if fr := r.Fidelity; fr != nil {
-		if err := obs.RefuteSurrogate(fr.Checks); err != nil {
-			return PointResult{}, fmt.Errorf("scenario %q at %d sessions: %w", sc.Name, n, err)
-		}
+	r, sum, err := runWindow(fc)
+	if err != nil {
+		return PointResult{}, fmt.Errorf("scenario %q at %d sessions: %w", sc.Name, n, err)
 	}
-	pt := PointResult{Sessions: n, WallSeconds: r.WallSeconds, Fidelity: r.Fidelity}
-	sum := r.Summarize()
-	sum.WallSeconds, sum.Workers = 0, 0
-	pt.Summary = sum
+	pt := PointResult{Sessions: n, Summary: sum, WallSeconds: r.WallSeconds, Fidelity: r.Fidelity}
 	if sc.SLO != nil {
 		pt.Verdict = sc.SLO.Evaluate(sum)
 	}
@@ -102,6 +97,25 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 		pt.GPUs = sc.GPUs
 	}
 	return pt, nil
+}
+
+// runWindow runs one fleet window, the tail both the timeline
+// executor and the single-point runner share, and rolls it up.
+// Refute-and-refine, the failing half: a surrogate that drifted past
+// its declared tolerance fails the window loudly — a silently wrong
+// fast path is worse than no fast path. Wall time and pool size are
+// host artifacts, not science; they are zeroed in the summary so
+// reports are identical across runs and worker counts.
+func runWindow(fc fleet.Config) (fleet.Result, fleet.Summary, error) {
+	r := fleet.Run(fc)
+	if fr := r.Fidelity; fr != nil {
+		if err := obs.RefuteSurrogate(fr.Checks); err != nil {
+			return r, fleet.Summary{}, err
+		}
+	}
+	sum := r.Summarize()
+	sum.WallSeconds, sum.Workers = 0, 0
+	return r, sum, nil
 }
 
 // frameCounts resolves the measured and warmup frame counts a run

@@ -241,22 +241,10 @@ func run(sc Scenario, opt Options, each func(pi, i int, sr fleet.SessionResult))
 		if each != nil {
 			fc.Each = func(i int, sr fleet.SessionResult) { each(pi, i, sr) }
 		}
-		r := fleet.Run(fc)
-		if fr := r.Fidelity; fr != nil {
-			// Refute-and-refine, the failing half: a surrogate that
-			// drifted past its declared tolerance fails the whole run
-			// loudly, naming the phase — a silently wrong fast path is
-			// worse than no fast path.
-			if err := obs.RefuteSurrogate(fr.Checks); err != nil {
-				return Result{}, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)
-			}
+		r, sum, err := runWindow(fc)
+		if err != nil {
+			return Result{}, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)
 		}
-
-		sum := r.Summarize()
-		// Wall time and pool size are host artifacts, not science;
-		// zeroed so scenario reports are identical across runs and
-		// worker counts.
-		sum.WallSeconds, sum.Workers = 0, 0
 		psum := fleet.PhaseSummary{
 			Name:            ph.Name,
 			StartSeconds:    now,
