@@ -27,10 +27,10 @@ bench:
 # Benchmark trajectory: the fleet + edge + capacity benchmarks as a
 # machine-readable JSON event stream (go test -json -benchmem), one
 # file CI archives every run so the perf history accumulates across
-# PRs. scripts/bench_gate.sh then scrapes allocs/op for every
+# PRs. scripts/bench_gate.sh then scrapes allocs/op and B/op for every
 # benchmark named in bench_baseline.txt and fails the build on a >20%
-# regression — or on a missing/malformed baseline, so the gate can
-# never silently skip.
+# regression in either — or on a missing/malformed baseline, so the
+# gate can never silently skip.
 bench-json:
 	@mkdir -p bin
 	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkScenario|BenchmarkAutoscale|BenchmarkCapacity' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json

@@ -438,11 +438,12 @@ func streamingBenchSpecs(b *testing.B) []fleet.SessionSpec {
 // compact summary plus one float64 per frame.
 func BenchmarkFleetStreaming(b *testing.B) {
 	specs := streamingBenchSpecs(b)
-	var s fleet.Summary
+	op := func() fleet.Summary { return fleet.Run(fleet.Config{Specs: specs, Workers: 4}).Summarize() }
+	s := op() // warm-up: allocations are counted on warm pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s = fleet.Run(fleet.Config{Specs: specs, Workers: 4}).Summarize()
+		s = op()
 	}
 	b.ReportMetric(s.AggregateFPS, "agg-fps")
 	b.ReportMetric(s.P99MTPMs, "p99-mtp-ms")
@@ -460,11 +461,12 @@ func BenchmarkFleetSource(b *testing.B) {
 		MeasuredFrames: specs[0].Config.MeasuredFrames(),
 		At:             func(i int) fleet.SessionSpec { return specs[i] },
 	}
-	var s fleet.Summary
+	op := func() fleet.Summary { return fleet.Run(fleet.Config{Source: src, Workers: 4}).Summarize() }
+	s := op() // warm-up: allocations are counted on warm pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s = fleet.Run(fleet.Config{Source: src, Workers: 4}).Summarize()
+		s = op()
 	}
 	b.ReportMetric(s.AggregateFPS, "agg-fps")
 	b.ReportMetric(s.P99MTPMs, "p99-mtp-ms")
@@ -483,14 +485,17 @@ func BenchmarkFleetSource(b *testing.B) {
 // session count; the giga-steady smoke shows the asymptotic ratio.
 func BenchmarkFleetSurrogate(b *testing.B) {
 	specs := streamingBenchSpecs(b)
-	var s fleet.Summary
-	var r fleet.Result
+	op := func() fleet.Result {
+		return fleet.Run(fleet.Config{Specs: specs, Workers: 4, Fidelity: &fleet.Fidelity{
+			Runner: surrogate.New(), ExactFraction: fleet.DefaultExactFraction,
+		}})
+	}
+	r := op() // warm-up: allocations are counted on warm pools
+	s := r.Summarize()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = fleet.Run(fleet.Config{Specs: specs, Workers: 4, Fidelity: &fleet.Fidelity{
-			Runner: surrogate.New(), ExactFraction: fleet.DefaultExactFraction,
-		}})
+		r = op()
 		s = r.Summarize()
 	}
 	if r.Fidelity == nil || r.Fidelity.Refuted {
@@ -553,23 +558,26 @@ func BenchmarkFleetMaterialized(b *testing.B) {
 func BenchmarkFleetCounters(b *testing.B) {
 	specs := streamingBenchSpecs(b)
 	b.Run("off", func(b *testing.B) {
-		var s fleet.Summary
+		op := func() fleet.Summary { return fleet.Run(fleet.Config{Specs: specs, Workers: 4}).Summarize() }
+		s := op() // warm-up: allocations are counted on warm pools
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s = fleet.Run(fleet.Config{Specs: specs, Workers: 4}).Summarize()
+			s = op()
 		}
 		b.ReportMetric(s.AggregateFPS, "agg-fps")
 	})
 	b.Run("on", func(b *testing.B) {
-		var s fleet.Summary
-		var frames int64
+		op := func() (fleet.Summary, int64) {
+			reg := obs.New()
+			s := fleet.Run(fleet.Config{Specs: specs, Workers: 4, Obs: reg}).Summarize()
+			return s, reg.Snapshot().Counter(obs.CFramesMeasured)
+		}
+		s, frames := op() // warm-up: allocations are counted on warm pools
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reg := obs.New()
-			s = fleet.Run(fleet.Config{Specs: specs, Workers: 4, Obs: reg}).Summarize()
-			frames = reg.Snapshot().Counter(obs.CFramesMeasured)
+			s, frames = op()
 		}
 		b.ReportMetric(s.AggregateFPS, "agg-fps")
 		b.ReportMetric(float64(frames), "frames-counted")
@@ -681,15 +689,18 @@ func BenchmarkScenarioSteady(b *testing.B) {
 		sessions += sc.Phases[i].Sessions
 	}
 	opt := scenario.Options{Workers: 4, FramesOverride: 2, WarmupOverride: scenario.Warmup(1)}
-	var roll fleet.Rollup
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func() fleet.Rollup {
 		r, err := scenario.Run(sc, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		roll = r.Rollup
+		return r.Rollup
+	}
+	roll := op() // warm-up: allocations are counted on warm pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roll = op()
 	}
 	b.ReportMetric(roll.WorstP99Ms, "worst-p99-mtp-ms")
 	b.ReportMetric(float64(sessions*b.N)/b.Elapsed().Seconds(), "sessions/s")
@@ -729,11 +740,8 @@ func BenchmarkCapacityProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rep capacity.Report
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err = capacity.Probe(capacity.Config{
+	op := func() capacity.Report {
+		rep, err := capacity.Probe(capacity.Config{
 			Scenario:       sc,
 			GridPoints:     3,
 			FramesOverride: 8,
@@ -742,6 +750,13 @@ func BenchmarkCapacityProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return rep
+	}
+	rep := op() // warm-up: allocations are counted on warm pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep = op()
 	}
 	b.ReportMetric(float64(rep.KneeSessions), "knee-sessions")
 	b.ReportMetric(float64(len(rep.Search)), "search-evals")
