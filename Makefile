@@ -185,7 +185,9 @@ capacity-smoke:
 # across worker pool sizes, with the window-sum audit armed. (3) The
 # series renders to an HTML run report whose grid charts made it in.
 # (4) The live endpoints: scripts/metrics_smoke.sh scrapes /metrics
-# during a real run and validates the Prometheus text exposition.
+# during a real run and validates the Prometheus text exposition. It
+# runs the built binary, not `go run`, so the process the script stops
+# once it has scraped is the server itself.
 obs-smoke:
 	@mkdir -p bin
 	$(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4 \
@@ -204,7 +206,8 @@ obs-smoke:
 	@grep -q 'Per-cluster GPUs' bin/obs-report.html \
 		|| { echo "obs smoke FAIL: bin/obs-report.html lost the grid charts"; exit 1; }
 	@echo "obs report OK: bin/obs-report.html ($$(wc -c < bin/obs-report.html) bytes)"
-	./scripts/metrics_smoke.sh $(GO) run ./cmd/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
+	$(GO) build -o bin/qvr-scenario ./cmd/qvr-scenario
+	./scripts/metrics_smoke.sh ./bin/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
 
 # Profile the scale scenario: CPU + end-of-run heap profiles of the
 # real fleet workload (not a synthetic benchmark), for the

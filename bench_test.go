@@ -8,8 +8,11 @@ package qvr_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"syscall"
 	"testing"
+	"time"
 
 	"qvr/internal/capacity"
 	"qvr/internal/edge"
@@ -729,12 +732,24 @@ func BenchmarkAutoscaleFlashCrowd(b *testing.B) {
 	b.ReportMetric(float64(len(rep.Events)), "scale-events")
 }
 
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // BenchmarkCapacityProbe runs the HPL-style capacity probe in
 // miniature — binary search plus a trimmed knee sweep, no scaling
 // study — and reports the probe's science (the knee itself and how
 // many fleet evaluations the search cost) alongside allocs/op, which
 // the bench-json gate tracks: the probe re-runs whole fleets per
 // search step, so allocation creep here multiplies across every point.
+// cpu-share is the process CPU time over the timed ops divided by
+// their wall time x GOMAXPROCS: the share of the host the probe's
+// many small fleets keep busy.
 func BenchmarkCapacityProbe(b *testing.B) {
 	sc, err := scenario.Builtin("capacity-probe")
 	if err != nil {
@@ -755,11 +770,14 @@ func BenchmarkCapacityProbe(b *testing.B) {
 	rep := op() // warm-up: allocations are counted on warm pools
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu := cpuTime(b)
 	for i := 0; i < b.N; i++ {
 		rep = op()
 	}
+	cpu = cpuTime(b) - cpu
 	b.ReportMetric(float64(rep.KneeSessions), "knee-sessions")
 	b.ReportMetric(float64(len(rep.Search)), "search-evals")
+	b.ReportMetric(cpu.Seconds()/(b.Elapsed().Seconds()*float64(runtime.GOMAXPROCS(0))), "cpu-share")
 }
 
 // BenchmarkSurveyProxy runs the Section 3.1 perception study proxy and

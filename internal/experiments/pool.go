@@ -12,11 +12,12 @@ import (
 // workers and returns one slot per config, in config order. Workers
 // claim the next config index from a shared counter, which balances
 // the very different per-design costs (a local-only run is far
-// cheaper than a Q-VR one); each worker owns one session, resets it to
-// the claimed config and hands it to run, writes only the slots it
-// claimed, and the caller reads them after the pool drains. A reset
-// session runs bit-identically to a new one, so the slots — and every
-// row assembled from them — are identical at any worker count.
+// cheaper than a Q-VR one); each worker borrows one session from the
+// shared warm pool, resets it to the claimed config and hands it to
+// run, writes only the slots it claimed, and the caller reads them
+// after the pool drains. A reset session runs bit-identically to a new
+// one, so the slots — and every row assembled from them — are
+// identical at any worker count.
 func runEach[T any](cfgs []pipeline.Config, run func(*pipeline.Session, *T)) []T {
 	out := make([]T, len(cfgs))
 	workers := min(runtime.GOMAXPROCS(0), len(cfgs))
@@ -26,14 +27,15 @@ func runEach[T any](cfgs []pipeline.Config, run func(*pipeline.Session, *T)) []T
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sess pipeline.Session
+			sess := pipeline.GetSession()
+			defer pipeline.PutSession(sess)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cfgs) {
 					return
 				}
 				sess.Reset(cfgs[i])
-				run(&sess, &out[i])
+				run(sess, &out[i])
 			}
 		}()
 	}

@@ -86,7 +86,7 @@ func TestFidelitySplitBooks(t *testing.T) {
 // fidelity config runs every session on the exact simulator and must
 // reproduce the Specs run exactly, through its Each sink or with no
 // sink at all. This is the regression test for
-// the shard-buffer truncation bug, where a streamed shard's merged
+// the sample-buffer truncation bug, where a streamed worker's merged
 // percentiles silently collapsed to its last session's samples.
 func TestLeanExactOnlyMatchesStandard(t *testing.T) {
 	checkSourceMatchesSpecs(t, testSpecs(t, 24), func() Config { return Config{Workers: 3} })

@@ -26,13 +26,16 @@
 // worker-local framesink.StatsSink instead of materializing a
 // []FrameRecord, so fleet memory is O(sessions) summaries plus one
 // float64 per frame (the exact-percentile samples) rather than
-// sessions x frames full records. The worker pool is sharded — each
-// worker owns a contiguous index range of the population and one
-// reusable sink plus one pre-sized sample buffer for its whole shard —
-// following the partition-over-share guidance that scales this to
-// 100k-session scenarios. The population is either a spec slice
-// (Config.Specs) or a per-index generator (Config.Source) that each
-// worker mints its own shard from; both run the same shard loop.
+// sessions x frames full records. Workers claim session indices one at
+// a time from a shared counter, so a worker that drew cheap sessions
+// takes more of them and none idles behind another's costly run; the
+// results are owned by position, never by worker. Each worker keeps
+// one warm pipeline.Session from the shared pool, one reusable sink
+// and its own sample buffers, following the partition-over-share
+// guidance that scales this to 100k-session scenarios. The population
+// is either a spec slice (Config.Specs) or a per-index generator
+// (Config.Source) that each worker mints its claimed specs from; both
+// run the same worker loop.
 // A Source run keeps only its roll-up unless Config.Each takes the
 // per-session results, which is what carries a timeline to a million
 // sessions.
@@ -47,6 +50,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qvr/internal/framesink"
@@ -105,7 +109,7 @@ type Config struct {
 	// comparison lands in Result.Fidelity.
 	Fidelity *Fidelity
 	// Source, when set, replaces Specs with a pure per-index spec
-	// generator: each worker mints its shard's specs as it runs them,
+	// generator: each worker mints the specs it claims as it runs them,
 	// so the population never exists in memory as a slice. The run and
 	// its results are the same as a Specs run. Admission, Placer and
 	// CellCapacity decide over the whole population, so with any of
@@ -119,14 +123,15 @@ type Config struct {
 }
 
 // SpecSource is a population as a pure per-index spec generator in
-// place of a materialized spec slice: each worker mints its shard's
-// specs transiently, so a million-session fleet never exists in memory
+// place of a materialized spec slice: each worker mints the specs it
+// claims transiently, so a million-session fleet never exists in memory
 // as specs.
 type SpecSource struct {
 	// N is the population size.
 	N int
-	// MeasuredFrames is the per-session measured frame count, used to
-	// pre-size the per-shard sample buffers.
+	// MeasuredFrames is the per-session measured frame count: a worker
+	// sizes its sample buffers by it, and starts a new buffer when the
+	// current one has less room than this left.
 	MeasuredFrames int
 	// At mints the spec with index i. It must be a pure function of i
 	// (the scenario layer builds it from Mix.Minter plus the phase
@@ -135,8 +140,8 @@ type SpecSource struct {
 }
 
 // sliceSource serves a materialized spec slice through the SpecSource
-// seam. MeasuredFrames is the slice's largest, so a shard buffer never
-// has to regrow.
+// seam. MeasuredFrames is the slice's largest, so every session fits
+// the room a worker reserves for it.
 func sliceSource(specs []SessionSpec) *SpecSource {
 	src := &SpecSource{N: len(specs), At: func(i int) SessionSpec { return specs[i] }}
 	for _, sp := range specs {
@@ -246,25 +251,27 @@ func Run(cfg Config) Result {
 		cfg.Each = func(i int, sr SessionResult) { results[i] = sr }
 	}
 	tallies := make([]tally, n)
-	bufs := make([][]float64, workers)
+	samples := make([]sampleBufs, workers)
 	frames := make([]int64, workers)
+	// Workers claim the next session index from one counter until the
+	// population runs out. Everything kept is indexed by spec position,
+	// counters are summed and traces sorted, so which worker ran a
+	// session (like the pool size) can never leak into the science.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous shards: worker w owns indices [lo, hi). Everything
-		// kept is indexed by spec position, so the partitioning (like
-		// the pool size) can never leak into the science.
-		lo, hi := n*w/workers, n*(w+1)/workers
-		if lo == hi {
-			continue
-		}
+	for w := 0; w < workers && n > 0; w++ {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			bufs[w], frames[w] = runShard(cfg, src, fid, traceRun, lo, hi, tallies)
-		}(w, lo, hi)
+			samples[w], frames[w] = runWorker(cfg, src, fid, traceRun, workers, &next, tallies)
+		}(w)
 	}
 	wg.Wait()
 
+	bufs := make([][]float64, 0, workers)
+	for w := range samples {
+		bufs = append(append(bufs, samples[w].full...), samples[w].cur)
+	}
 	res := Result{
 		Sessions:   results,
 		Dropped:    dropped,
@@ -282,53 +289,76 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// runShard simulates indices [lo, hi) with worker-local state: one
-// pipeline.Session reset for every exact run, one reusable StatsSink
-// and one sample buffer pre-sized for the shard's measured frames, so
-// an entire shard's exact-percentile samples live in a single
-// allocation and a session costs almost no garbage once the first has
-// warmed the simulator's pools. When counters are on, the worker also
-// owns one registry shard and one StageSink reused across its whole
-// range — the per-frame path stays allocation-free either way. It
-// writes tallies (and calls cfg.Each) at each session's index and
-// returns the shard's sample buffer plus its exact-DES frame count.
-func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi int, tallies []tally) ([]float64, int64) {
-	buf := make([]float64, 0, (hi-lo)*src.MeasuredFrames)
-	var predBuf []float64
-	if fid != nil {
-		marked := 0
-		for i := lo; i < hi; i++ {
-			if fid.marks[i] {
-				marked++
-			}
-		}
-		if marked > 0 {
-			predBuf = make([]float64, 0, marked*src.MeasuredFrames)
-		}
+// sampleBufs is one worker's exact-percentile sample storage. Each
+// session appends its samples to cur; when the next session might not
+// fit, cur is retired to full and a fresh buffer started. A buffer is
+// never regrown by copying, so every Summary.MTPSorted keeps aliasing
+// the region its session wrote, and rollUp merges the whole list.
+type sampleBufs struct {
+	cur  []float64
+	full [][]float64
+}
+
+// reserve makes room in cur for one session of frames samples,
+// starting a buffer of frames samples for each of sessions sessions
+// when cur has less room left.
+func (b *sampleBufs) reserve(frames, sessions int) {
+	if cap(b.cur)-len(b.cur) >= frames {
+		return
 	}
-	var sess pipeline.Session
+	if len(b.cur) > 0 {
+		b.full = append(b.full, b.cur)
+	}
+	b.cur = make([]float64, 0, frames*sessions)
+}
+
+// evenShare is one worker's share of the remaining work when left
+// items are still unclaimed: their even split over the pool, rounded
+// up. A worker sizes each new sample buffer with it, so its first
+// buffer holds its fair share of the run and a worker that outgrows
+// it sizes the next for the rest.
+func evenShare(left, workers int) int { return (left + workers - 1) / workers }
+
+// runWorker is one pool worker: it claims session indices from next
+// until the population is exhausted and simulates each with
+// worker-local state — one pipeline.Session borrowed from the shared
+// warm pool and reset for every exact run, one reusable StatsSink, and
+// sample buffers sized by evenShare, so a session costs almost no
+// garbage once the pools are warm. When counters are on, the worker
+// also owns one registry shard and one StageSink reused across its
+// claims — the per-frame path stays allocation-free either way. It
+// writes tallies (and calls cfg.Each) at each session's index and
+// returns its sample buffers plus its exact-DES frame count.
+func runWorker(cfg Config, src *SpecSource, fid *fidelityState, traceRun, workers int, next *atomic.Int64, tallies []tally) (sampleBufs, int64) {
+	var samples, preds sampleBufs
+	sess := pipeline.GetSession()
+	defer pipeline.PutSession(sess)
 	var sink framesink.StatsSink
 	var stage obs.StageSink
 	if cfg.Obs != nil {
 		stage = obs.StageSink{Shard: cfg.Obs.NewShard(), Next: &sink}
 	}
 	var exactFrames int64
-	for i := lo; i < hi; i++ {
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= src.N {
+			return samples, exactFrames
+		}
 		sp := src.At(i)
 		ran := sp.Config
+		samples.reserve(src.MeasuredFrames, evenShare(src.N-i, workers))
 		var sum framesink.Summary
 		if fid != nil && !fid.marks[i] {
 			// Analytic fast path: the prediction is a pure per-session
-			// function, so its place in the results (and its samples'
-			// region of the shard buffer) match any worker count. It
-			// bypasses the stage sink — CSessionsSimulated and
+			// function, so its place in the results matches any worker
+			// count. It bypasses the stage sink — CSessionsSimulated and
 			// CFramesMeasured stay exact-DES books.
-			sum, buf = fid.runner.RunSession(sp.Config, buf)
+			sum, samples.cur = fid.runner.RunSession(sp.Config, samples.cur)
 			if cfg.Obs != nil {
 				stage.Shard.Inc(obs.CSessionsSurrogate)
 			}
 		} else {
-			sink.Reset(buf)
+			sink.Reset(samples.cur)
 			// The sink chain, innermost first: StatsSink always
 			// terminates; StageSink taps stage timings when counters are
 			// on; a SessionTrace records spans when this session is
@@ -349,7 +379,7 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 				cfg.Tracer.Collect(st)
 			}
 			sum = sink.Summary()
-			buf = sink.Buffer()
+			samples.cur = sink.Buffer()
 			exactFrames += int64(sum.Frames)
 			if fid != nil {
 				// The cross-check pair: this session ran exact above; the
@@ -361,7 +391,8 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 				}
 				r := fid.rank[i]
 				fid.exact[r] = sum
-				fid.pred[r], predBuf = fid.runner.RunSession(sp.Config, predBuf)
+				preds.reserve(src.MeasuredFrames, evenShare(len(fid.pred)-r, workers))
+				fid.pred[r], preds.cur = fid.runner.RunSession(sp.Config, preds.cur)
 			}
 		}
 		tallies[i] = tally{fps: sum.FPS, bytes: sum.AvgBytesSent}
@@ -369,7 +400,6 @@ func runShard(cfg Config, src *SpecSource, fid *fidelityState, traceRun, lo, hi 
 			cfg.Each(i, SessionResult{Name: sp.Name, Config: ran, Stats: sum})
 		}
 	}
-	return buf, exactFrames
 }
 
 // TotalMeasuredFrames is the run's CFramesMeasured book: the measured

@@ -80,10 +80,10 @@ func (r Result) Summarize() Summary {
 
 // rollUp computes the population half of Summary once, inside Run:
 // sums over the per-session tallies in spec order, then one sort of
-// the concatenated shard buffers. Shards are contiguous index ranges
-// and each buffer holds its sessions' samples, so the merge is the
-// multiset of every measured frame for any worker count, and the
-// nearest-rank percentiles are exact.
+// the concatenated worker sample buffers. Every session's samples sit
+// in exactly one buffer, whichever worker claimed it, so the merge is
+// the multiset of every measured frame for any worker count and any
+// schedule, and the nearest-rank percentiles are exact.
 func rollUp(tallies []tally, bufs [][]float64, dropped int) Summary {
 	s := Summary{Sessions: len(tallies)}
 	if len(tallies) == 0 {

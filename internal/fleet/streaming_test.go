@@ -56,10 +56,10 @@ func TestStreamingMatchesMaterializedFleet(t *testing.T) {
 	}
 }
 
-// TestShardingInvariance: the sharded worker loop (with its
+// TestShardingInvariance: the claiming worker loop (with its
 // worker-local reusable buffers) must produce identical summaries for
-// every pool size, including pools larger than the fleet and shards
-// that straddle uneven boundaries.
+// every pool size, including pools larger than the fleet and pools
+// that do not divide it.
 func TestShardingInvariance(t *testing.T) {
 	specs := testSpecs(t, 11) // prime count: uneven shards everywhere
 	var ref Summary

@@ -21,8 +21,9 @@
 //
 // Both sinks are plain structs with no locking: a sink belongs to one
 // session run at a time. StatsSink.Reset supports the fleet's
-// worker-local reuse pattern — one sink and one sample buffer per
-// worker, recycled across that worker's sessions.
+// worker-local reuse pattern — one sink per worker, recycled across
+// every session the worker claims, appending each session's samples
+// to the worker's current sample buffer.
 package framesink
 
 import (
@@ -78,9 +79,10 @@ func (s *StatsSink) Observe(f pipeline.FrameRecord) {
 }
 
 // Reset clears the sink for a new session that appends its samples to
-// buf (which may be nil). The fleet's worker loop passes its
-// shard-sized buffer here: each session's samples land in their own
-// region of one pre-sized allocation.
+// buf (which may be nil). The fleet's worker loop passes its current
+// sample buffer here, with room reserved for the session: each
+// session's samples land in their own region of one pre-sized
+// allocation shared with the worker's other sessions.
 func (s *StatsSink) Reset(buf []float64) {
 	s.acc.Reset()
 	s.buf, s.start = buf, len(buf)

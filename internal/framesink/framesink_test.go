@@ -168,6 +168,43 @@ func TestStatsSinkBufferReuse(t *testing.T) {
 	}
 }
 
+// TestSummaryCapacityClip: a Summary's MTPSorted is capacity-clipped
+// to its session's region of a shared buffer, so an append through it
+// reallocates rather than writing into the next session's samples —
+// whether the next session has already run or runs afterwards.
+func TestSummaryCapacityClip(t *testing.T) {
+	cfgs := configs(t)[:3]
+	buf := make([]float64, 0, 3*cfgs[0].Frames)
+	var sink StatsSink
+	run := func(cfg pipeline.Config) Summary {
+		sink.Reset(buf)
+		pipeline.NewSession(cfg).RunSink(&sink)
+		s := sink.Summary()
+		buf = sink.Buffer()
+		return s
+	}
+	a := run(cfgs[0])
+	if cap(a.MTPSorted) != len(a.MTPSorted) {
+		t.Fatalf("MTPSorted cap %d, want its length %d", cap(a.MTPSorted), len(a.MTPSorted))
+	}
+	grown := append(a.MTPSorted, -1) // before the next session runs
+	b := run(cfgs[1])
+	bWant := append([]float64(nil), b.MTPSorted...)
+	grownB := append(a.MTPSorted, -2) // after it ran
+	c := run(cfgs[2])
+	if &grown[0] == &a.MTPSorted[0] || &grownB[0] == &a.MTPSorted[0] {
+		t.Fatal("an append through MTPSorted wrote into the shared buffer")
+	}
+	for i, v := range b.MTPSorted {
+		if v != bWant[i] || v < 0 {
+			t.Fatalf("session b sample %d = %v, want %v: an append through a's summary reached it", i, v, bWant[i])
+		}
+	}
+	if c.MTPSorted[0] < 0 || &c.MTPSorted[0] != &buf[len(a.MTPSorted)+len(b.MTPSorted)] {
+		t.Error("session c does not start right after b in the shared buffer")
+	}
+}
+
 // TestSummaryEmpty: a summary over zero frames reports zeros, never
 // NaN — the empty-window guarantee the fleet's phase summaries need.
 func TestSummaryEmpty(t *testing.T) {

@@ -1,10 +1,13 @@
 package fixture
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// The fleet worker-pool idiom: contiguous shards, results indexed by
-// a goroutine-local variable, joined before any read. Nothing shared
-// is written at a location another worker can touch.
+// A worker-pool idiom: contiguous shards, results indexed by a
+// goroutine-local variable, joined before any read. Nothing shared is
+// written at a location another worker can touch.
 func cleanSharded(specs []int) []int {
 	results := make([]int, len(specs))
 	workers := 4
@@ -21,6 +24,34 @@ func cleanSharded(specs []int) []int {
 	}
 	wg.Wait()
 	return results
+}
+
+// The fleet's worker-pool idiom: each worker claims the next index
+// from a shared atomic counter and writes only the slot it claimed,
+// plus its own per-worker slot. The claim itself is a method call on a
+// captured counter, not a write.
+func cleanClaimed(specs []int) ([]int, []int) {
+	results := make([]int, len(specs))
+	workers := 4
+	counts := make([]int, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				results[i] = specs[i] * 2
+				counts[w]++
+			}
+		}(w)
+	}
+	wg.Wait()
+	return results, counts
 }
 
 // Goroutine-local state and channel sends are always fine.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"qvr/internal/codec"
 	"qvr/internal/energy"
@@ -106,16 +107,16 @@ func Run(cfg Config) Result {
 //
 // A Session runs once per Reset. Reset rewinds it in place for a new
 // config, keeping everything the previous run warmed up, so a worker
-// that simulates many sessions owns one Session and resets it for
-// each. The zero value is an empty session; Reset it before running.
-// A Session must not be copied after its first Reset.
+// that simulates many sessions borrows one Session (GetSession) and
+// resets it for each. The zero value is an empty session; Reset it
+// before running. A Session must not be copied after its first Reset.
 type Session struct {
 	s session
 }
 
 // MeasuredFrames is the number of frames a session built from this
 // config will measure, after zero-value normalization — the single
-// source of truth callers (the fleet's shard buffer sizing) use to
+// source of truth callers (the fleet's sample buffer sizing) use to
 // pre-size per-frame state.
 func (cfg Config) MeasuredFrames() int {
 	if cfg.Frames <= 0 {
@@ -158,6 +159,31 @@ func NewSession(cfg Config) *Session {
 	p := &Session{}
 	p.Reset(cfg)
 	return p
+}
+
+// sessions is the shared warm-session pool. A Session that has run
+// keeps its event engine, resource queues and bound callbacks, so a
+// borrower's Reset reuses them instead of warming a new Session from
+// scratch: fleet workers, the experiment pool and the surrogate's
+// exact runs all borrow from here.
+var sessions sync.Pool
+
+// GetSession borrows a Session from the shared pool: one that has run
+// before when the pool has one, else an empty one. Reset it before
+// running, and hand it back with PutSession when done.
+func GetSession() *Session {
+	if p, ok := sessions.Get().(*Session); ok {
+		return p
+	}
+	return new(Session)
+}
+
+// PutSession returns p to the shared pool. It drops p's reference to
+// its last sink, so a pooled Session keeps nothing of its borrower's
+// alive. The caller must not use p afterwards, nor put it twice.
+func PutSession(p *Session) {
+	p.s.sink = nil
+	sessions.Put(p)
 }
 
 // Reset re-initializes the session in place for cfg, exactly as

@@ -29,7 +29,6 @@ package surrogate
 
 import (
 	"sort"
-	"sync"
 
 	"qvr/internal/framesink"
 	"qvr/internal/pipeline"
@@ -41,10 +40,6 @@ import (
 // table is read-only and safe for concurrent prediction.
 type Model struct {
 	classes map[pipeline.Config][]framesink.Summary
-	// sessions recycles the exact fallback's simulators: RunSession
-	// runs on worker goroutines, so each call takes a session, resets
-	// it and puts it back.
-	sessions sync.Pool
 }
 
 // New returns an empty, uncalibrated model.
@@ -69,16 +64,17 @@ func (m *Model) Classes() int { return len(m.classes) }
 // config and files the resulting summary as an exemplar of its class.
 // The caller chooses the exemplars (the fleet takes the first K
 // members of each class in spec order), so the table is a pure
-// function of the calibration list. One session runs the whole list,
-// and every exemplar's samples share one pre-sized buffer, each
-// summary aliasing its own region.
+// function of the calibration list. One session borrowed from the
+// shared warm pool runs the whole list, and every exemplar's samples
+// share one pre-sized buffer, each summary aliasing its own region.
 func (m *Model) Calibrate(cfgs []pipeline.Config) {
 	frames := 0
 	for _, cfg := range cfgs {
 		frames += cfg.MeasuredFrames()
 	}
 	buf := make([]float64, 0, frames)
-	var sess pipeline.Session
+	sess := pipeline.GetSession()
+	defer pipeline.PutSession(sess)
 	var sink framesink.StatsSink
 	for _, cfg := range cfgs {
 		sink.Reset(buf)
@@ -100,19 +96,17 @@ func (m *Model) Calibrate(cfgs []pipeline.Config) {
 // buffer.
 //
 // A config whose class was never calibrated falls back to the exact
-// simulation: an uncalibrated class must not fabricate numbers.
+// simulation, on a session borrowed from the shared warm pool: an
+// uncalibrated class must not fabricate numbers.
 func (m *Model) RunSession(cfg pipeline.Config, buf []float64) (framesink.Summary, []float64) {
 	exs := m.classes[m.ClassOf(cfg)]
 	if len(exs) == 0 {
-		sess, ok := m.sessions.Get().(*pipeline.Session)
-		if !ok {
-			sess = new(pipeline.Session)
-		}
+		sess := pipeline.GetSession()
 		var sink framesink.StatsSink
 		sink.Reset(buf)
 		sess.Reset(cfg)
 		sess.RunSink(&sink)
-		m.sessions.Put(sess)
+		pipeline.PutSession(sess)
 		// StatsSink keeps the same contract: Buffer is buf extended by
 		// this session's samples.
 		return sink.Summary(), sink.Buffer()

@@ -130,9 +130,9 @@ func TestCalibrationMatchesExactRuns(t *testing.T) {
 // TestRunSessionExtendsBuffer pins the worker-buffer contract both
 // paths share with framesink.StatsSink: the returned slice is the
 // caller's buffer extended in place — never just the session's own
-// region — so a lean shard can treat it as the accumulated sample
+// region — so a fleet worker can treat it as the accumulated sample
 // buffer. (Truncating it here is exactly the bug that collapses a
-// shard's merged percentiles to its last session.)
+// worker's merged percentiles to its last session.)
 func TestRunSessionExtendsBuffer(t *testing.T) {
 	cfgs := testConfigs(t, 2)
 	prefix := []float64{0.001, 0.002, 0.003}
@@ -164,7 +164,7 @@ func TestRunSessionExtendsBuffer(t *testing.T) {
 }
 
 // TestBufferContract pins the one sample-buffer contract the fleet's
-// shard loop relies on: framesink.StatsSink (via Reset/Buffer) and
+// worker loop relies on: framesink.StatsSink (via Reset/Buffer) and
 // Model.RunSession (calibrated and uncalibrated) take turns on one
 // buffer, and each returns the buffer it was given extended by exactly
 // the session's measured frames, with the Summary's samples being

@@ -10,7 +10,10 @@
 # usage: metrics_smoke.sh CMD [ARGS...]
 #
 #   CMD...  the run command; "-listen ADDR -serve-seconds 20" is
-#           appended, so it must accept the shared obs flags.
+#           appended, so it must accept the shared obs flags. It must
+#           be the program itself (a built binary), not a wrapper such
+#           as `go run`: the script stops the process it started once
+#           it has scraped, and a wrapper's child would keep serving.
 set -eu
 
 if [ "$#" -lt 1 ]; then
