@@ -41,18 +41,15 @@ var fig12Designs = []pipeline.Design{
 // Fig12 runs the overall-performance comparison.
 func Fig12(o Options) Fig12Result {
 	o = o.fill()
-	var cfgs []pipeline.Config
-	for _, app := range scene.EvalApps {
-		for _, d := range fig12Designs {
-			cfgs = append(cfgs, o.config(d, app, nil))
-		}
-	}
-	runs := stream(cfgs)
+	apps, nd := scene.EvalApps, len(fig12Designs)
+	runs := stream(len(apps)*nd, func(i int) pipeline.Config {
+		return o.config(fig12Designs[i%nd], apps[i/nd])
+	})
 
-	var out Fig12Result
+	out := Fig12Result{Rows: make([]Fig12Row, 0, len(apps))}
 	var qvrFPSsum, staticFPSsum, swFPSsum float64
-	for i, app := range scene.EvalApps {
-		r := runs[i*len(fig12Designs):]
+	for i, app := range apps {
+		r := runs[i*nd:]
 		local, static, ffr, dfr, sw, qvr := r[0], r[1], r[2], r[3], r[4], r[5]
 
 		base := local.AvgMTPSeconds()
@@ -129,18 +126,15 @@ var fig13Designs = []pipeline.Design{
 // Fig13 measures transmitted data and resolution reduction.
 func Fig13(o Options) Fig13Result {
 	o = o.fill()
-	var cfgs []pipeline.Config
-	for _, app := range scene.EvalApps {
-		for _, d := range fig13Designs {
-			cfgs = append(cfgs, o.config(d, app, nil))
-		}
-	}
-	runs := stream(cfgs)
+	apps, nd := scene.EvalApps, len(fig13Designs)
+	runs := stream(len(apps)*nd, func(i int) pipeline.Config {
+		return o.config(fig13Designs[i%nd], apps[i/nd])
+	})
 
-	var out Fig13Result
+	out := Fig13Result{Rows: make([]Fig13Row, 0, len(apps))}
 	var q, s float64
-	for i, app := range scene.EvalApps {
-		r := runs[i*len(fig13Designs):]
+	for i, app := range apps {
+		r := runs[i*nd:]
 		remote := r[0].AvgBytesSent()
 		static := r[1].AvgBytesSent()
 		ffr := r[2].AvgBytesSent()
@@ -196,23 +190,21 @@ var Fig14Apps = []string{"Doom3-H", "HL2-H", "GRID", "UT3", "Wolf"}
 // Fig14 captures the convergence traces.
 func Fig14(o Options) Fig14Result {
 	o = o.fill()
-	cfgs := make([]pipeline.Config, len(Fig14Apps))
-	for i, name := range Fig14Apps {
-		app, _ := scene.AppByName(name)
-		cfgs[i] = o.config(pipeline.QVR, app, func(c *pipeline.Config) {
-			c.Warmup = 0 // the convergence transient is the point
-			c.Frames = 300
-		})
-	}
-	var out Fig14Result
-	for i, res := range materialize(cfgs) {
-		s := Fig14Series{App: Fig14Apps[i]}
-		for _, f := range res.Frames {
-			s.LatencyRatio = append(s.LatencyRatio, f.LatencyRatio())
-			s.FPS = append(s.FPS, f.StageFPS)
-			s.E1 = append(s.E1, f.E1)
+	runs := materialize(len(Fig14Apps), func(i int) pipeline.Config {
+		app, _ := scene.AppByName(Fig14Apps[i])
+		cfg := o.config(pipeline.QVR, app)
+		cfg.Warmup = 0 // the convergence transient is the point
+		cfg.Frames = 300
+		return cfg
+	})
+	out := Fig14Result{Series: make([]Fig14Series, len(runs))}
+	for i, res := range runs {
+		n := len(res.Frames)
+		s := Fig14Series{App: Fig14Apps[i], LatencyRatio: make([]float64, n), FPS: make([]float64, n), E1: make([]float64, n)}
+		for j, f := range res.Frames {
+			s.LatencyRatio[j], s.FPS[j], s.E1[j] = f.LatencyRatio(), f.StageFPS, f.E1
 		}
-		out.Series = append(out.Series, s)
+		out.Series[i] = s
 	}
 	return out
 }
@@ -256,33 +248,37 @@ var (
 	Table4Nets  = []netsim.Condition{netsim.WiFi, netsim.LTE4G, netsim.Early5G}
 )
 
+// table4Runs is the size of the Table 4 sweep.
+var table4Runs = len(Table4Freqs) * len(Table4Nets) * len(scene.EvalApps)
+
+// table4At decodes index i of the Table 4 sweep (frequency-major, then
+// network, then app) into its frequency, network and app indices.
+func table4At(i int) (f, n, a int) {
+	apps := len(scene.EvalApps)
+	return i / (len(Table4Nets) * apps), i / apps % len(Table4Nets), i % apps
+}
+
+// table4Config is the Q-VR config of Table 4 sweep index i.
+func (o Options) table4Config(i int) pipeline.Config {
+	f, n, a := table4At(i)
+	cfg := o.config(pipeline.QVR, scene.EvalApps[a])
+	cfg.GPU = cfg.GPU.WithFrequency(Table4Freqs[f])
+	cfg.Network = Table4Nets[n]
+	return cfg
+}
+
 // Table4 sweeps GPU frequency and network condition.
 func Table4(o Options) Table4Result {
 	o = o.fill()
-	var cfgs []pipeline.Config
-	for _, freq := range Table4Freqs {
-		for _, net := range Table4Nets {
-			for _, app := range scene.EvalApps {
-				cfgs = append(cfgs, o.config(pipeline.QVR, app, func(c *pipeline.Config) {
-					c.GPU = c.GPU.WithFrequency(freq)
-					c.Network = net
-				}))
-			}
-		}
-	}
-	runs := stream(cfgs)
+	runs := stream(table4Runs, o.table4Config)
 
-	var out Table4Result
-	for _, freq := range Table4Freqs {
-		for _, net := range Table4Nets {
-			for _, app := range scene.EvalApps {
-				res := runs[len(out.Cells)]
-				out.Cells = append(out.Cells, Table4Cell{
-					FreqMHz: freq, Network: net.Name, App: app.Name,
-					AvgE1:    res.AvgE1(),
-					MeetsFPS: res.FPS() >= 85,
-				})
-			}
+	out := Table4Result{Cells: make([]Table4Cell, len(runs))}
+	for i, res := range runs {
+		f, n, a := table4At(i)
+		out.Cells[i] = Table4Cell{
+			FreqMHz: Table4Freqs[f], Network: Table4Nets[n].Name, App: scene.EvalApps[a].Name,
+			AvgE1:    res.AvgE1(),
+			MeetsFPS: res.FPS() >= 85,
 		}
 	}
 	return out
@@ -336,41 +332,27 @@ type Fig15Result struct {
 // and is shared across the network sweep.
 func Fig15(o Options) Fig15Result {
 	o = o.fill()
-	var cfgs []pipeline.Config
-	for _, freq := range Table4Freqs {
-		for _, app := range scene.EvalApps {
-			cfgs = append(cfgs, o.config(pipeline.LocalOnly, app, func(c *pipeline.Config) {
-				c.GPU = c.GPU.WithFrequency(freq)
-			}))
+	apps := len(scene.EvalApps)
+	nLocal := len(Table4Freqs) * apps
+	runs := stream(nLocal+table4Runs, func(i int) pipeline.Config {
+		if i >= nLocal {
+			return o.table4Config(i - nLocal)
 		}
-	}
-	nLocal := len(cfgs)
-	for _, freq := range Table4Freqs {
-		for _, net := range Table4Nets {
-			for _, app := range scene.EvalApps {
-				cfgs = append(cfgs, o.config(pipeline.QVR, app, func(c *pipeline.Config) {
-					c.GPU = c.GPU.WithFrequency(freq)
-					c.Network = net
-				}))
-			}
-		}
-	}
-	runs := stream(cfgs)
+		cfg := o.config(pipeline.LocalOnly, scene.EvalApps[i%apps])
+		cfg.GPU = cfg.GPU.WithFrequency(Table4Freqs[i/apps])
+		return cfg
+	})
 	local, qvr := runs[:nLocal], runs[nLocal:]
 
-	var out Fig15Result
+	out := Fig15Result{Cells: make([]Fig15Cell, len(qvr))}
 	var sum float64
-	apps := len(scene.EvalApps)
-	for fi, freq := range Table4Freqs {
-		for _, net := range Table4Nets {
-			for ai, app := range scene.EvalApps {
-				norm := qvr[len(out.Cells)].AvgEnergyJoules() / local[fi*apps+ai].AvgEnergyJoules()
-				out.Cells = append(out.Cells, Fig15Cell{
-					FreqMHz: freq, Network: net.Name, App: app.Name, Normalized: norm,
-				})
-				sum += norm
-			}
+	for i, res := range qvr {
+		f, n, a := table4At(i)
+		norm := res.AvgEnergyJoules() / local[f*apps+a].AvgEnergyJoules()
+		out.Cells[i] = Fig15Cell{
+			FreqMHz: Table4Freqs[f], Network: Table4Nets[n].Name, App: scene.EvalApps[a].Name, Normalized: norm,
 		}
+		sum += norm
 	}
 	out.AvgReduction = 1 - sum/float64(len(out.Cells))
 	return out

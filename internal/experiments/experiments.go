@@ -48,17 +48,15 @@ func (o Options) fill() Options {
 	return o
 }
 
-// config builds one pipeline configuration under the options; the
-// experiments collect these and run them through the worker pool
-// (stream or materialize).
-func (o Options) config(d pipeline.Design, app scene.App, mutate func(*pipeline.Config)) pipeline.Config {
+// config builds one pipeline configuration under the options. The
+// experiments call it inside the worker pool (stream or materialize),
+// one index at a time, and set any further fields on the returned
+// value, so each config lives on its worker's stack.
+func (o Options) config(d pipeline.Design, app scene.App) pipeline.Config {
 	cfg := pipeline.DefaultConfig(d, app)
 	cfg.Frames = o.Frames
 	cfg.Warmup = o.Warmup
 	cfg.Seed = o.Seed
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	return cfg
 }
 

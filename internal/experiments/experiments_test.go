@@ -302,14 +302,14 @@ func TestSurveyProxy(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance pins the pool's determinism contract: the
-// sweeps assemble identical results whether one worker or four run
-// their sessions.
+// TestWorkerCountInvariance pins the pool's determinism contract: all
+// seven pool-run experiments assemble identical results whether one
+// worker or four build and run their configs.
 func TestWorkerCountInvariance(t *testing.T) {
 	o := Options{Frames: 20, Warmup: 10, Seed: 1}
 	sweep := func(procs int) []any {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return []any{Fig12(o), Fig13(o), Table4(o), Fig15(o), Fig3(o), Table1(o)}
+		return []any{Fig12(o), Fig13(o), Table4(o), Fig15(o), Fig3(o), Table1(o), Fig14(o)}
 	}
 	one, four := sweep(1), sweep(4)
 	for i := range one {
@@ -324,17 +324,34 @@ func TestWorkerCountInvariance(t *testing.T) {
 // for one config per design.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	app, _ := scene.AppByName("GRID")
-	var cfgs []pipeline.Config
-	for _, d := range pipeline.Designs {
-		cfgs = append(cfgs, fast.fill().config(d, app, nil))
-	}
-	for i, st := range stream(cfgs) {
-		r := pipeline.Run(cfgs[i])
+	cfgAt := func(i int) pipeline.Config { return fast.fill().config(pipeline.Designs[i], app) }
+	for i, st := range stream(len(pipeline.Designs), cfgAt) {
+		r := pipeline.Run(cfgAt(i))
 		got := []float64{st.AvgMTPSeconds(), st.FPS(), st.AvgBytesSent(), st.AvgE1(), st.AvgEnergyJoules(), st.AvgResolutionReduction()}
 		want := []float64{r.AvgMTPSeconds(), r.FPS(), r.AvgBytesSent(), r.AvgE1(), r.AvgEnergyJoules(), r.AvgResolutionReduction()}
 		if !reflect.DeepEqual(got, want) || st.Frames != len(r.Frames) {
 			t.Errorf("%v: streamed %v over %d frames, materialized %v over %d",
-				cfgs[i].Design, got, st.Frames, want, len(r.Frames))
+				pipeline.Designs[i], got, st.Frames, want, len(r.Frames))
 		}
+	}
+}
+
+// TestPaperEvalAllocations bounds what one repetition of the paper
+// evaluation (Fig12, Fig13 and Table4, 133 runs) allocates once the
+// session pool is warm: each worker builds its run's config on its own
+// stack, so the count is per-experiment set-up only (~18). Building the
+// configs up front into a slice, or handing them to a func by pointer,
+// puts it back near 180.
+func TestPaperEvalAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts depend on sync.Pool, which -race makes lossy")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		Fig12(fast)
+		Fig13(fast)
+		Table4(fast)
+	})
+	if allocs > 40 {
+		t.Errorf("Fig12+Fig13+Table4: %v allocs per repetition, want <= 40", allocs)
 	}
 }

@@ -29,13 +29,14 @@ type Fig3Result struct {
 // Fig3 runs the motivation study.
 func Fig3(o Options) Fig3Result {
 	o = o.fill()
-	var cfgs []pipeline.Config
-	for _, app := range scene.Table1Apps {
-		cfgs = append(cfgs,
-			o.config(pipeline.LocalOnly, app, nil),
-			o.config(pipeline.RemoteOnly, app, nil))
-	}
-	runs := materialize(cfgs)
+	apps := scene.Table1Apps
+	runs := materialize(2*len(apps), func(i int) pipeline.Config {
+		d := pipeline.LocalOnly
+		if i%2 == 1 {
+			d = pipeline.RemoteOnly
+		}
+		return o.config(d, apps[i/2])
+	})
 
 	row := func(app scene.App, res pipeline.Result) Fig3Row {
 		return Fig3Row{
@@ -43,10 +44,10 @@ func Fig3(o Options) Fig3Result {
 			TotalMS: res.AvgMTPSeconds() * 1000,
 		}
 	}
-	var r Fig3Result
-	for i, app := range scene.Table1Apps {
-		r.Local = append(r.Local, row(app, runs[2*i]))
-		r.Remote = append(r.Remote, row(app, runs[2*i+1]))
+	r := Fig3Result{Local: make([]Fig3Row, len(apps)), Remote: make([]Fig3Row, len(apps))}
+	for i, app := range apps {
+		r.Local[i] = row(app, runs[2*i])
+		r.Remote[i] = row(app, runs[2*i+1])
 	}
 	return r
 }
@@ -95,13 +96,13 @@ type Table1Result struct{ Rows []Table1Row }
 // Table1 measures static collaboration across the Table 1 apps.
 func Table1(o Options) Table1Result {
 	o = o.fill()
-	cfgs := make([]pipeline.Config, len(scene.Table1Apps))
-	for i, app := range scene.Table1Apps {
-		cfgs[i] = o.config(pipeline.StaticCollab, app, nil)
-	}
-	var out Table1Result
-	for i, res := range materialize(cfgs) {
-		app := scene.Table1Apps[i]
+	apps := scene.Table1Apps
+	runs := materialize(len(apps), func(i int) pipeline.Config {
+		return o.config(pipeline.StaticCollab, apps[i])
+	})
+	out := Table1Result{Rows: make([]Table1Row, 0, len(apps))}
+	for i, res := range runs {
+		app := apps[i]
 		row := Table1Row{
 			App:         app.Name,
 			Resolution:  fmt.Sprintf("%dx%d", app.Width, app.Height),
