@@ -130,26 +130,15 @@ func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) 
 	if len(m.Tiers) == 0 {
 		return nil, fmt.Errorf("fleet: mix %q has no tiers", m.Name)
 	}
-	var cycle []Tier
-	for _, t := range m.Tiers {
-		w := t.Weight
-		if w <= 0 {
-			w = 1
-		}
-		for i := 0; i < w; i++ {
-			cycle = append(cycle, t)
-		}
+	// One resolved base per tier; mint copies its config and fills
+	// the per-session fields.
+	type tierBase struct {
+		name, region string
+		cfg          pipeline.Config
 	}
-	// Shuffle the weighted cycle so oversubscription tests don't drop
-	// whole tiers just because they expanded last.
-	rng := randpool.Get(baseSeed*2654435761 + 97)
-	rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
-	randpool.Put(rng)
-
-	// One resolved base config per cycle entry; mint copies it and
-	// fills the per-session fields.
-	bases := make([]pipeline.Config, len(cycle))
-	for i, t := range cycle {
+	bases := make([]tierBase, len(m.Tiers))
+	n := 0
+	for i, t := range m.Tiers {
 		app, ok := scene.AppByName(t.App)
 		if !ok {
 			return nil, fmt.Errorf("fleet: mix %q tier %q: unknown app %q", m.Name, t.Name, t.App)
@@ -164,15 +153,29 @@ func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) 
 		if warmup >= 0 {
 			cfg.Warmup = warmup
 		}
-		bases[i] = cfg
+		bases[i] = tierBase{name: t.Name, region: t.Region, cfg: cfg}
+		n += max(t.Weight, 1)
 	}
+	// The weighted cycle holds one tier index per weight unit.
+	// Shuffle it so oversubscription tests don't drop whole tiers
+	// just because they expanded last.
+	cycle := make([]int, 0, n)
+	for i, t := range m.Tiers {
+		for range max(t.Weight, 1) {
+			cycle = append(cycle, i)
+		}
+	}
+	rng := randpool.Get(baseSeed*2654435761 + 97)
+	rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
+	randpool.Put(rng)
+
 	return func(g int) SessionSpec {
-		t := cycle[g%len(cycle)]
-		cfg := bases[g%len(cycle)]
+		b := &bases[cycle[g%len(cycle)]]
+		cfg := b.cfg
 		cfg.Seed = baseSeed + int64(g)*1009 + 7
 		return SessionSpec{
-			Name:   sessionName(t.Name, g),
-			Region: t.Region,
+			Name:   sessionName(b.name, g),
+			Region: b.region,
 			Config: cfg,
 		}
 	}, nil
