@@ -24,16 +24,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-# Benchmark trajectory: the fleet + edge + capacity benchmarks as a
-# machine-readable JSON event stream (go test -json -benchmem), one
-# file CI archives every run so the perf history accumulates across
-# PRs. scripts/bench_gate.sh then scrapes allocs/op and B/op for every
-# benchmark named in bench_baseline.txt and fails the build on a >20%
-# regression in either — or on a missing/malformed baseline, so the
-# gate can never silently skip.
+# Benchmark trajectory: the fleet, edge, capacity and paper-eval
+# benchmarks as a machine-readable JSON event stream (go test -json
+# -benchmem), one file CI archives every run so the perf history
+# accumulates across PRs. scripts/bench_gate.sh then scrapes allocs/op
+# and B/op for every benchmark named in bench_baseline.txt and fails
+# the build on a >20% regression in either — or on a missing/malformed
+# baseline, so the gate can never silently skip.
 bench-json:
 	@mkdir -p bin
-	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkScenario|BenchmarkAutoscale|BenchmarkCapacity' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json
+	$(GO) test -json -bench 'BenchmarkFleet|BenchmarkEdge|BenchmarkScenario|BenchmarkAutoscale|BenchmarkCapacity|BenchmarkPaperEval' -benchmem -benchtime=1x -run '^$$' . > bin/BENCH_edge.json
 	@echo "wrote bin/BENCH_edge.json ($$(wc -c < bin/BENCH_edge.json) bytes)"
 	@./scripts/bench_gate.sh bench_baseline.txt bin/BENCH_edge.json
 

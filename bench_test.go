@@ -177,6 +177,28 @@ func BenchmarkFig15Energy(b *testing.B) {
 	b.ReportMetric(red*100, "energy-reduction-%")
 }
 
+// BenchmarkPaperEval is one repetition of perfbench's paper-eval
+// workload: Fig12, Fig13 and Table4 at 80+30 frames, seed 1 (133
+// runs). Its allocs/op and B/op, which the bench-json gate tracks, are
+// the experiments' per-repetition set-up, since each worker builds its
+// run's config on its own stack and the warm sessions allocate
+// nothing; configs built up front again would multiply both.
+func BenchmarkPaperEval(b *testing.B) {
+	o := experiments.Options{Frames: 80, Warmup: 30, Seed: 1}
+	op := func() experiments.Fig12Result {
+		experiments.Fig13(o)
+		experiments.Table4(o)
+		return experiments.Fig12(o)
+	}
+	r := op() // warm-up: allocations are counted on warm pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r = op()
+	}
+	b.ReportMetric(r.AvgQVR, "avg-speedup-x")
+}
+
 func BenchmarkOverheadAnalysis(b *testing.B) {
 	var area float64
 	for i := 0; i < b.N; i++ {
