@@ -249,7 +249,7 @@ var (
 )
 
 // table4Runs is the size of the Table 4 sweep.
-var table4Runs = len(Table4Freqs) * len(Table4Nets) * len(scene.EvalApps)
+func table4Runs() int { return len(Table4Freqs) * len(Table4Nets) * len(scene.EvalApps) }
 
 // table4At decodes index i of the Table 4 sweep (frequency-major, then
 // network, then app) into its frequency, network and app indices.
@@ -270,7 +270,7 @@ func (o Options) table4Config(i int) pipeline.Config {
 // Table4 sweeps GPU frequency and network condition.
 func Table4(o Options) Table4Result {
 	o = o.fill()
-	runs := stream(table4Runs, o.table4Config)
+	runs := stream(table4Runs(), o.table4Config)
 
 	out := Table4Result{Cells: make([]Table4Cell, len(runs))}
 	for i, res := range runs {
@@ -334,7 +334,7 @@ func Fig15(o Options) Fig15Result {
 	o = o.fill()
 	apps := len(scene.EvalApps)
 	nLocal := len(Table4Freqs) * apps
-	runs := stream(nLocal+table4Runs, func(i int) pipeline.Config {
+	runs := stream(nLocal+table4Runs(), func(i int) pipeline.Config {
 		if i >= nLocal {
 			return o.table4Config(i - nLocal)
 		}
