@@ -29,8 +29,9 @@
 // of the single-cluster admission layer, and scenario timelines drive
 // it phase by phase (site outages, derates, regional load swings).
 // All scheduling state lives in plain slices and maps touched only
-// from the single-threaded placement call: the fleet's worker pool
-// never sees it, so grid results are deterministic for any worker
+// from the single-threaded placement call. The fleet's worker pool
+// sees only the binding that call returns, which reads values fixed
+// when it returned, so grid results are deterministic for any worker
 // count.
 package edge
 
@@ -96,35 +97,37 @@ func (t Topology) Validate() error {
 	}
 	seen := map[string]bool{}
 	for i, c := range t.Clusters {
-		where := fmt.Sprintf("edge: cluster %d (%q)", i, c.Name)
+		// The error context is formatted only on failure: a probe
+		// re-validates its topology at every point.
+		where := func() string { return fmt.Sprintf("edge: cluster %d (%q)", i, c.Name) }
 		if c.Name == "" {
 			return fmt.Errorf("edge: cluster %d: missing name", i)
 		}
 		// Cluster names reach CSV rows and table columns unescaped.
 		if strings.ContainsAny(c.Name, ",\"\n") {
-			return fmt.Errorf("%s: name must not contain commas, quotes or newlines", where)
+			return fmt.Errorf("%s: name must not contain commas, quotes or newlines", where())
 		}
 		if seen[c.Name] {
-			return fmt.Errorf("%s: duplicate cluster name", where)
+			return fmt.Errorf("%s: duplicate cluster name", where())
 		}
 		seen[c.Name] = true
 		if c.GPUs < 0 {
-			return fmt.Errorf("%s: gpus must not be negative, got %d", where, c.GPUs)
+			return fmt.Errorf("%s: gpus must not be negative, got %d", where(), c.GPUs)
 		}
 		if c.SessionsPerGPU < 0 {
-			return fmt.Errorf("%s: sessions-per-gpu must not be negative, got %d", where, c.SessionsPerGPU)
+			return fmt.Errorf("%s: sessions-per-gpu must not be negative, got %d", where(), c.SessionsPerGPU)
 		}
 		// Fail closed: NaN compares false against everything, so test
 		// for the valid range, not the invalid one.
 		if !(c.RTTSeconds >= 0 && !math.IsInf(c.RTTSeconds, 0)) {
-			return fmt.Errorf("%s: rtt %v must be non-negative and finite", where, c.RTTSeconds)
+			return fmt.Errorf("%s: rtt %v must be non-negative and finite", where(), c.RTTSeconds)
 		}
 		if !(c.BandwidthBps >= 0 && !math.IsInf(c.BandwidthBps, 0)) {
-			return fmt.Errorf("%s: bandwidth %v must be non-negative and finite", where, c.BandwidthBps)
+			return fmt.Errorf("%s: bandwidth %v must be non-negative and finite", where(), c.BandwidthBps)
 		}
 		for region, rtt := range c.RegionRTT {
 			if !(rtt >= 0 && !math.IsInf(rtt, 0)) {
-				return fmt.Errorf("%s: rtt.%s = %v must be non-negative and finite", where, region, rtt)
+				return fmt.Errorf("%s: rtt.%s = %v must be non-negative and finite", where(), region, rtt)
 			}
 		}
 	}

@@ -33,6 +33,8 @@ const RebalanceFactor = 0.7
 // site is one cluster's phase-effective scheduling state.
 type site struct {
 	spec ClusterSpec
+	// idx is the site's position in topology order.
+	idx int
 	// gpus/derate are the phase-effective size and throughput factor
 	// (scenario outage and derate keys land here).
 	gpus   int
@@ -66,15 +68,17 @@ func (s *site) queueSeconds(assigned int) float64 {
 }
 
 // Grid is the geo-distributed placement scheduler. It implements
-// fleet.Placer: fleet.Run hands it the phase's session specs and gets
-// back per-session remote bindings plus the placement report.
+// fleet.Placer: fleet.Run hands it the phase's population by index and
+// gets back the per-session remote binding plus the placement report.
 //
 // A Grid carries placement state across calls — that is the point:
-// scenario timelines call Place once per phase, and the sticky
+// scenario timelines call Bind once per phase, and the sticky
 // assignment map is what makes a site outage produce *migrations*
 // (sessions moving between sites) rather than a fresh global
-// reshuffle. All state is touched only from Place/BeginPhase on the
-// caller's goroutine; the Grid is not safe for concurrent use.
+// reshuffle. All state is touched only from Bind/Place/BeginPhase on
+// the caller's goroutine; the Grid is not safe for concurrent use. The
+// binding Bind returns is, because it reads only values fixed when
+// Bind returned.
 type Grid struct {
 	topo   Topology
 	policy Policy
@@ -146,7 +150,7 @@ func (g *Grid) resetSites() {
 		if n, ok := g.baseGPUs[c.Name]; ok {
 			gpus = n
 		}
-		g.sites[i] = &site{spec: c, gpus: gpus, derate: 1}
+		g.sites[i] = &site{spec: c, idx: i, gpus: gpus, derate: 1}
 		g.sizeSite(g.sites[i])
 	}
 	g.applyPhase()
@@ -257,67 +261,113 @@ func (g *Grid) applyPhase() {
 	}
 }
 
-// Place binds every session to a site (or to local-only rendering as
-// the last resort) and returns the adjusted specs with the placement
-// report. It implements fleet.Placer.
-//
-// Placement runs in two deterministic passes over the spec list:
-// sticky first — a session already bound to a live, unsaturated site
-// stays there, because moving users is what the migration penalty
-// exists to discourage — then policy placement for everyone else (new
-// arrivals, and sessions evicted by an outage, derate or saturation).
-// A session placed onto a different site than its previous one is a
-// migration: it is recorded in the report and pays the handoff stall.
+// seat is one session's state through a placement round: the name
+// and region the place pass minted, the site it is bound to (nil =
+// local-only failover), and whether it kept its previous site (sticky)
+// or moved this round.
+type seat struct {
+	name, region  string
+	site          *site
+	sticky, moved bool
+}
+
+// siteBinding is what every session placed on one site shares in a
+// round, computed once per site after the placement passes.
+type siteBinding struct {
+	spec   ClusterSpec
+	remote gpu.RemoteCluster
+	queue  float64
+	// wan names the site's WAN path.
+	wan string
+}
+
+// Place binds every session in specs to a site (or to local-only
+// rendering as the last resort) and returns the adjusted specs with
+// the placement report: Bind over the slice, with each spec bound.
 func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.GridReport) {
-	report := fleet.GridReport{Policy: g.policy.String()}
+	bind, report := g.Bind(len(specs), func(i int) fleet.SessionSpec { return specs[i] })
+	adjusted := make([]fleet.SessionSpec, len(specs))
+	for i, sp := range specs {
+		adjusted[i] = bind(i, sp)
+	}
+	return adjusted, report
+}
+
+// Bind places the n sessions at mints and returns the placement
+// report plus the binding that applies session i's placement to its
+// spec. It implements fleet.Placer.
+//
+// Placement mints each index once, for its name and region, and runs
+// in deterministic passes in index order: sticky first — a session
+// already bound to a live, unsaturated site stays there, because
+// moving users is what the migration penalty exists to discourage —
+// then policy placement for everyone else (new arrivals, and sessions
+// evicted by an outage, derate or saturation), then drain-back. A
+// session placed onto a different site than its previous one is a
+// migration: it is recorded in the report and pays the handoff stall.
+func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fleet.SessionSpec) fleet.SessionSpec, fleet.GridReport) {
+	report := fleet.GridReport{
+		Policy:   g.policy.String(),
+		Clusters: make([]fleet.ClusterLoad, 0, len(g.sites)),
+	}
 
 	// Each round re-counts occupancy from scratch: only sessions in
-	// this spec list occupy slots.
+	// this population occupy slots.
 	for _, s := range g.sites {
 		s.assigned = 0
 	}
 
-	// The sticky map is pruned to the live population: a departed
-	// session's slot must not haunt the capacity accounting.
-	placement := make([]*site, len(specs))
-	present := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		present[sp.Name] = true
+	seats := make([]seat, n)
+	for i := range seats {
+		sp := at(i)
+		seats[i].name, seats[i].region = sp.Name, sp.Region
 	}
-	for name := range g.assigned {
-		if !present[name] {
-			delete(g.assigned, name)
+	if len(g.assigned) == 0 {
+		// A fresh grid has nothing to prune; size the sticky map for
+		// the population it is about to hold.
+		g.assigned = make(map[string]string, n)
+	} else {
+		// The sticky map is pruned to the live population: a departed
+		// session's slot must not haunt the capacity accounting.
+		present := make(map[string]bool, n)
+		for i := range seats {
+			present[seats[i].name] = true
+		}
+		for name := range g.assigned {
+			if !present[name] {
+				delete(g.assigned, name)
+			}
 		}
 	}
 
 	// Pass 1 — sticky: keep sessions where they are while the site
 	// stays feasible.
-	sticky := make([]bool, len(specs))
-	for i, sp := range specs {
-		prev, ok := g.assigned[sp.Name]
+	for i := range seats {
+		st := &seats[i]
+		prev, ok := g.assigned[st.name]
 		if !ok {
 			continue
 		}
 		if s := g.siteByName(prev); s != nil && s.up() && s.assigned < s.maxAdmit {
 			s.assigned++
-			placement[i] = s
-			sticky[i] = true
+			st.site = s
+			st.sticky = true
 			if g.obs != nil {
 				g.obs.Inc(obs.CPlaceSticky)
 			}
 		}
 	}
 
-	// Pass 2 — policy placement for the unbound, in spec order (the
+	// Pass 2 — policy placement for the unbound, in index order (the
 	// arrival order: earlier sessions get first pick, so results are
 	// independent of goroutine schedule and worker count).
-	moved := make([]bool, len(specs))
-	for i, sp := range specs {
-		if placement[i] != nil {
+	for i := range seats {
+		st := &seats[i]
+		if st.site != nil {
 			continue
 		}
-		best := g.pickSite(sp.Region)
-		prev := g.assigned[sp.Name]
+		best := g.pickSite(st.region)
+		prev := g.assigned[st.name]
 		if best == nil {
 			// Every site is down or saturated past its queue limit:
 			// degrade to local-only rendering rather than drop.
@@ -326,25 +376,25 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 				g.obs.Inc(obs.CPlaceFailedOver)
 			}
 			if prev != "" {
-				report.Moves = append(report.Moves, fleet.Move{Session: sp.Name, From: prev, To: FailoverName})
-				delete(g.assigned, sp.Name)
+				report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: prev, To: FailoverName})
+				delete(g.assigned, st.name)
 			}
 			continue
 		}
 		best.assigned++
-		placement[i] = best
+		st.site = best
 		if g.obs != nil {
 			g.obs.Inc(obs.CPlacePolicy)
 		}
 		if prev != "" && prev != best.spec.Name {
 			report.Migrated++
-			moved[i] = true
-			report.Moves = append(report.Moves, fleet.Move{Session: sp.Name, From: prev, To: best.spec.Name})
+			st.moved = true
+			report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: prev, To: best.spec.Name})
 			if g.obs != nil {
 				g.obs.Inc(obs.CPlaceMigrated)
 			}
 		}
-		g.assigned[sp.Name] = best.spec.Name
+		g.assigned[st.name] = best.spec.Name
 	}
 
 	// Pass 3 — drain-back: a sticky session migrates anyway when some
@@ -356,13 +406,14 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 	// hand off and its spot is already the policy's choice. One sweep
 	// per phase: partial drain-back this phase finishes in the next,
 	// which is how real schedulers pace rebalancing too.
-	for i, sp := range specs {
-		s := placement[i]
-		if s == nil || !sticky[i] {
+	for i := range seats {
+		st := &seats[i]
+		s := st.site
+		if s == nil || !st.sticky {
 			continue
 		}
 		cur := candidate{
-			rttSeconds:   s.spec.RTTFor(sp.Region),
+			rttSeconds:   s.spec.RTTFor(st.region),
 			load:         s.load(),
 			queueSeconds: s.queueSeconds(s.assigned),
 		}
@@ -373,7 +424,7 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 				continue
 			}
 			cand := candidate{
-				rttSeconds:   o.spec.RTTFor(sp.Region),
+				rttSeconds:   o.spec.RTTFor(st.region),
 				load:         float64(o.assigned+1) / float64(o.capacity),
 				queueSeconds: o.queueSeconds(o.assigned + 1),
 			}
@@ -386,45 +437,39 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 		}
 		s.assigned--
 		alt.assigned++
-		placement[i] = alt
-		moved[i] = true
+		st.site = alt
+		st.moved = true
 		report.Migrated++
 		if g.obs != nil {
 			g.obs.Inc(obs.CPlaceMigrated)
 			g.obs.Inc(obs.CPlaceDrainback)
 		}
-		report.Moves = append(report.Moves, fleet.Move{Session: sp.Name, From: s.spec.Name, To: alt.spec.Name})
-		g.assigned[sp.Name] = alt.spec.Name
+		report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: s.spec.Name, To: alt.spec.Name})
+		g.assigned[st.name] = alt.spec.Name
 	}
 
-	// Bind the placements into the session configs. Each site is
-	// shared like the fleet's single cluster: beyond capacity the
-	// per-GPU throughput splits and a queue delay is charged.
-	adjusted := make([]fleet.SessionSpec, len(specs))
-	for i, sp := range specs {
-		s := placement[i]
-		if s == nil {
-			sp.Config.Design = pipeline.LocalOnly
-			sp.Config.RemoteClusterName = ""
-			adjusted[i] = sp
+	// Each site is shared like the fleet's single cluster: beyond
+	// capacity the per-GPU throughput splits and a queue delay is
+	// charged. Those values are the site's, not the session's.
+	sites := make([]siteBinding, len(g.sites))
+	for k, s := range g.sites {
+		if s.assigned == 0 {
 			continue
 		}
-		queue := s.queueSeconds(s.assigned)
-		if g.obs != nil {
-			g.obs.ObserveSeconds(obs.HAdmitQueueUs, queue)
+		sites[k] = siteBinding{
+			spec:   s.spec,
+			remote: gpu.DefaultRemote().WithGPUs(s.gpus).Derate(s.derate).Share(s.load()),
+			queue:  s.queueSeconds(s.assigned),
+			wan:    "wan:" + s.spec.Name,
 		}
-		remote := gpu.DefaultRemote().WithGPUs(s.gpus).Derate(s.derate).Share(s.load())
-		sp.Config.Remote = remote
-		sp.Config.RemoteQueueSeconds = queue
-		sp.Config.RemoteClusterName = s.spec.Name
-		sp.Config.RemotePath = netsim.WANPath(
-			"wan:"+s.spec.Name, s.spec.RTTFor(sp.Region), s.spec.BandwidthBps)
-		if moved[i] {
-			sp.Config.RemoteHandoffSeconds = g.HandoffSeconds
-		}
-		adjusted[i] = sp
 	}
-
+	if g.obs != nil {
+		for i := range seats {
+			if s := seats[i].site; s != nil {
+				g.obs.ObserveSeconds(obs.HAdmitQueueUs, sites[s.idx].queue)
+			}
+		}
+	}
 	for _, s := range g.sites {
 		if g.obs != nil && s.up() {
 			g.obs.Observe(obs.HGridLoadPct, int64(math.Round(s.load()*100)))
@@ -438,7 +483,26 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 			QueueMs:  s.queueSeconds(s.assigned) * 1000,
 		})
 	}
-	return adjusted, report
+
+	handoff := g.HandoffSeconds
+	bind := func(i int, sp fleet.SessionSpec) fleet.SessionSpec {
+		st := &seats[i]
+		if st.site == nil {
+			sp.Config.Design = pipeline.LocalOnly
+			sp.Config.RemoteClusterName = ""
+			return sp
+		}
+		b := &sites[st.site.idx]
+		sp.Config.Remote = b.remote
+		sp.Config.RemoteQueueSeconds = b.queue
+		sp.Config.RemoteClusterName = b.spec.Name
+		sp.Config.RemotePath = netsim.WANPath(b.wan, b.spec.RTTFor(sp.Region), b.spec.BandwidthBps)
+		if st.moved {
+			sp.Config.RemoteHandoffSeconds = handoff
+		}
+		return sp
+	}
+	return bind, report
 }
 
 // pickSite returns the policy's best feasible site for a session in

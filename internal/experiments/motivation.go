@@ -162,8 +162,7 @@ type Fig5Row struct {
 type Fig5Result struct{ Rows []Fig5Row }
 
 // Fig5 measures interaction-distance sensitivity.
-func Fig5(o Options) Fig5Result {
-	o.fill()
+func Fig5(Options) Fig5Result {
 	app, _ := scene.AppByName("Nature")
 	st := scene.NewState(app)
 	cfg := gpu.MobileDefault()
@@ -220,8 +219,7 @@ type Fig6Result struct {
 }
 
 // Fig6 sweeps the foveal radius.
-func Fig6(o Options) Fig6Result {
-	o.fill()
+func Fig6(Options) Fig6Result {
 	complexities := []struct {
 		name string
 		tris int

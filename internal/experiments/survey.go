@@ -41,8 +41,7 @@ type SurveyResult struct {
 }
 
 // Survey runs the perception-proxy study across fovea radii.
-func Survey(o Options) SurveyResult {
-	o.fill()
+func Survey(Options) SurveyResult {
 	const size = 160
 	tris := raster.GenerateScene(50, 100, int64(13))
 	pose := vec.FromEuler(0.12, -0.06, 0)

@@ -47,14 +47,19 @@ const (
 
 // Placer binds each session to one of several remote render sites: a
 // geo-distributed scheduler's front door, consulted by Run in place of
-// the single-cluster admission layer. Place returns the specs with
-// their remote bindings adjusted (cluster, WAN path, queue delay,
-// local-only failover) plus the grid's load report. Implementations
-// must be deterministic in the spec list: the fleet's worker-count
+// the single-cluster admission layer. Bind decides placement for the
+// population of n sessions whose index i is minted by at(i), and
+// returns the grid's load report plus a binding: bind(i, sp) returns
+// sp, the spec at(i) mints, with session i's remote binding applied
+// (cluster, WAN path, queue delay, handoff, local-only failover). Run
+// calls the binding from its workers, concurrently across indices, on
+// the spec each worker mints on its own stack; the spec goes in and
+// comes out by value, so it never leaves that stack. Implementations
+// must be deterministic in the population: the fleet's worker-count
 // invariance contract extends to placement. internal/edge provides
 // the production implementation.
 type Placer interface {
-	Place(specs []SessionSpec) ([]SessionSpec, GridReport)
+	Bind(n int, at func(i int) SessionSpec) (bind func(i int, sp SessionSpec) SessionSpec, report GridReport)
 }
 
 // ClusterLoad is one edge cluster's slice of a grid placement report.
@@ -133,25 +138,27 @@ func (a Admission) withDefaults() Admission {
 	return a
 }
 
-// admit applies the admission and cell-sharing layers to specs, the
-// run's own materialized population, returning the admitted specs
-// (with adjusted Configs), the dropped specs, and the contention
-// report. Cell sharing adjusts specs in place, so the caller must not
-// pass a slice it shares.
-func admit(cfg Config, specs []SessionSpec) (admitted, dropped []SessionSpec, report Contention) {
+// admit applies the admission and cell-sharing layers to the
+// population src mints. It decides per index: the admitted sessions
+// are indices [0, n), the dropped tail is minted into dropped, and
+// bind applies session i's adjustments (cluster binding, queue delay,
+// failover, scaled bandwidth) to the spec src.At(i) mints. A nil bind
+// leaves every spec as minted.
+func admit(cfg Config, src *SpecSource) (n int, bind func(i int, sp SessionSpec) SessionSpec, dropped []SessionSpec, report Contention) {
 	// Counters increment here, at the decision sites, not from the
 	// report fields — obs.Refute cross-checks the two independently.
 	var ctl *obs.Shard
 	if cfg.Obs != nil {
 		ctl = cfg.Obs.Ctl()
 	}
+	n = src.N
 	a := cfg.Admission
 	switch {
 	case cfg.Placer != nil:
 		// Grid mode: the geo-distributed scheduler owns every remote
 		// binding. It never drops — overflow degrades to local-only.
-		adjusted, gr := cfg.Placer.Place(specs)
-		specs = adjusted
+		var gr GridReport
+		bind, gr = cfg.Placer.Bind(n, src.At)
 		report.FailedOver = gr.FailedOver
 		report.Grid = &gr
 	case a.Enabled && a.Cluster.GPUs <= 0:
@@ -160,76 +167,87 @@ func admit(cfg Config, specs []SessionSpec) (admitted, dropped []SessionSpec, re
 		// production systems do instead is fail over, and the client
 		// has a working (if slower) fallback renderer on board — so
 		// every session degrades to local-only rendering.
-		report.FailedOver = len(specs)
-		adjusted := make([]SessionSpec, len(specs))
-		for i, sp := range specs {
-			if ctl != nil {
-				ctl.Inc(obs.CAdmitFailedOver)
-			}
-			sp.Config.Design = pipeline.LocalOnly
-			adjusted[i] = sp
+		report.FailedOver = n
+		if ctl != nil {
+			ctl.Add(obs.CAdmitFailedOver, int64(n))
 		}
-		specs = adjusted
+		bind = func(_ int, sp SessionSpec) SessionSpec {
+			sp.Config.Design = pipeline.LocalOnly
+			return sp
+		}
 	case a.Cluster.GPUs > 0:
 		a = a.withDefaults()
 		capacity := a.Cluster.GPUs * a.SessionsPerGPU
 		maxAdmit := int(float64(capacity) * a.MaxQueueFactor)
-		if len(specs) > maxAdmit {
+		if n > maxAdmit {
 			if ctl != nil {
-				ctl.Add(obs.CAdmitDropped, int64(len(specs)-maxAdmit))
+				ctl.Add(obs.CAdmitDropped, int64(n-maxAdmit))
 			}
-			dropped = append(dropped, specs[maxAdmit:]...)
-			specs = specs[:maxAdmit]
+			dropped = make([]SessionSpec, 0, n-maxAdmit)
+			for i := maxAdmit; i < n; i++ {
+				dropped = append(dropped, src.At(i))
+			}
+			n = maxAdmit
 		}
-		load := float64(len(specs)) / float64(capacity)
+		load := float64(n) / float64(capacity)
 		report.Capacity = capacity
 		report.Load = load
 
 		shared := a.Cluster.Share(load)
-		if queued := len(specs) - capacity; queued > 0 {
+		if queued := n - capacity; queued > 0 {
 			// Each request waits behind its share of the overload: the
 			// queue drains at cluster rate, so the expected wait is the
 			// queued depth over capacity, in service times.
 			report.QueueSeconds = a.ServiceSeconds * float64(queued) / float64(capacity)
 		}
-		adjusted := make([]SessionSpec, len(specs))
-		for i, sp := range specs {
-			if ctl != nil {
-				ctl.ObserveSeconds(obs.HAdmitQueueUs, report.QueueSeconds)
+		queue := report.QueueSeconds
+		if ctl != nil {
+			for range n {
+				ctl.ObserveSeconds(obs.HAdmitQueueUs, queue)
 			}
-			sp.Config.Remote = shared
-			sp.Config.RemoteQueueSeconds = report.QueueSeconds
-			adjusted[i] = sp
 		}
-		specs = adjusted
+		bind = func(_ int, sp SessionSpec) SessionSpec {
+			sp.Config.Remote = shared
+			sp.Config.RemoteQueueSeconds = queue
+			return sp
+		}
 	}
 
 	if cfg.CellCapacity > 0 {
-		specs, report.SharedCells = shareCells(specs, cfg.CellCapacity)
+		report.SharedCells = shareCells(src, n, cfg.CellCapacity)
+		if cells, inner := report.SharedCells, bind; cells != nil {
+			bind = func(i int, sp SessionSpec) SessionSpec {
+				if inner != nil {
+					sp = inner(i, sp)
+				}
+				if f, ok := cells[sp.Config.Network.Name]; ok {
+					sp.Config.Network = sp.Config.Network.Scaled(f)
+				}
+				return sp
+			}
+		}
 	}
-	return specs, dropped, report
+	return n, bind, dropped, report
 }
 
-// shareCells splits each oversubscribed network condition's bandwidth
-// evenly across the sessions camped on it.
-func shareCells(specs []SessionSpec, capacity int) ([]SessionSpec, map[string]float64) {
+// shareCells counts the sessions camped on each network condition
+// among the admitted indices [0, n) and returns the bandwidth split
+// factor of each oversubscribed one: its bandwidth splits evenly
+// across the sessions on it. Nil means no cell is oversubscribed.
+func shareCells(src *SpecSource, n, capacity int) map[string]float64 {
 	count := map[string]int{}
-	for _, sp := range specs {
-		count[sp.Config.Network.Name]++
+	for i := range n {
+		count[src.At(i).Config.Network.Name]++
 	}
 	var cells map[string]float64
-	for i, sp := range specs {
-		n := count[sp.Config.Network.Name]
-		if n <= capacity {
+	for name, c := range count {
+		if c <= capacity {
 			continue
 		}
-		factor := float64(capacity) / float64(n)
 		if cells == nil {
 			cells = map[string]float64{}
 		}
-		cells[sp.Config.Network.Name] = factor
-		sp.Config.Network = sp.Config.Network.Scaled(factor)
-		specs[i] = sp
+		cells[name] = float64(capacity) / float64(c)
 	}
-	return specs, cells
+	return cells
 }

@@ -112,8 +112,11 @@ type Config struct {
 	// generator: each worker mints the specs it claims as it runs them,
 	// so the population never exists in memory as a slice. The run and
 	// its results are the same as a Specs run. Admission, Placer and
-	// CellCapacity decide over the whole population, so with any of
-	// them on the source is materialized first.
+	// CellCapacity decide over the whole population by index: they
+	// mint what they need to read (names, regions, network conditions)
+	// up front and keep only the per-index decision, which each worker
+	// applies to the spec it mints. Only Result.Dropped, the
+	// refused tail, is ever held as specs.
 	Source *SpecSource
 	// Each, when set, receives admitted session i's result (i in
 	// Result.Sessions order) from the worker that ran it, concurrently
@@ -148,15 +151,6 @@ func sliceSource(specs []SessionSpec) *SpecSource {
 		src.MeasuredFrames = max(src.MeasuredFrames, sp.Config.MeasuredFrames())
 	}
 	return src
-}
-
-// materialize mints every index of the source into a fresh slice.
-func (src *SpecSource) materialize() []SessionSpec {
-	specs := make([]SessionSpec, src.N)
-	for i := range specs {
-		specs[i] = src.At(i)
-	}
-	return specs
 }
 
 // SessionResult is one completed session: its name, the config it
@@ -216,9 +210,15 @@ func Run(cfg Config) Result {
 	var dropped []SessionSpec
 	var contention Contention
 	if cfg.Placer != nil || cfg.Admission.Enabled || cfg.Admission.Cluster.GPUs > 0 || cfg.CellCapacity > 0 {
-		var admitted []SessionSpec
-		admitted, dropped, contention = admit(cfg, src.materialize())
-		src = sliceSource(admitted)
+		// The workers run the admitted indices [0, n) and bind each
+		// spec as they mint it.
+		n, bind, d, c := admit(cfg, src)
+		dropped, contention = d, c
+		mint := src.At
+		src = &SpecSource{N: n, MeasuredFrames: src.MeasuredFrames, At: mint}
+		if bind != nil {
+			src.At = func(i int) SessionSpec { return bind(i, mint(i)) }
+		}
 	}
 	n := src.N
 	workers := cfg.Workers

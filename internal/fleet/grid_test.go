@@ -1,10 +1,13 @@
 package fleet_test
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"qvr/internal/edge"
 	"qvr/internal/fleet"
+	"qvr/internal/gpu"
 	"qvr/internal/obs"
 )
 
@@ -50,4 +53,78 @@ func TestSourceMatchesSpecsOnGrid(t *testing.T) {
 		t.Fatal("no retained session carries a handoff")
 	}
 	fleet.CheckSourceMatchesSpecs(t, specs, grid)
+}
+
+// TestContendedSourceMintsByIndex: placement, cluster admission and
+// cell sharing decide over a Source population by index, so a
+// contended run mints each session at most twice — once to decide,
+// once in the worker that runs it — instead of holding the population
+// as a slice. Each run must still give the Specs run's summary,
+// contention report and dropped sessions.
+func TestContendedSourceMintsByIndex(t *testing.T) {
+	specs := fleet.SpecsForTest(t, 30)
+	topo := edge.Topology{Clusters: []edge.ClusterSpec{
+		{Name: "west", GPUs: 1, RTTSeconds: 0.040, RegionRTT: map[string]float64{"us": 0.008}},
+		{Name: "central", GPUs: 2, RTTSeconds: 0.020, RegionRTT: map[string]float64{"eu": 0.010}},
+	}}
+	cluster := gpu.DefaultRemote()
+	cluster.GPUs = 2 // 8 full-speed sessions, 16 admitted: 14 dropped
+	cases := []struct {
+		name string
+		cfg  func() fleet.Config
+	}{
+		{"placer", func() fleet.Config {
+			g, err := edge.NewGrid(topo, edge.Score)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fleet.Config{Placer: g}
+		}},
+		{"admission", func() fleet.Config { return fleet.Config{Admission: fleet.Admission{Cluster: cluster}} }},
+		{"cells", func() fleet.Config { return fleet.Config{CellCapacity: 4} }},
+	}
+	names := func(specs []fleet.SessionSpec) []string {
+		var out []string
+		for _, sp := range specs {
+			out = append(out, sp.Name)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.cfg()
+			c.Specs = specs
+			want := fleet.Run(c)
+
+			var calls atomic.Int64
+			c = tc.cfg()
+			c.Workers = 3
+			c.Source = &fleet.SpecSource{
+				N:              len(specs),
+				MeasuredFrames: specs[0].Config.MeasuredFrames(),
+				At: func(i int) fleet.SessionSpec {
+					calls.Add(1)
+					return specs[i]
+				},
+			}
+			got := fleet.Run(c)
+			if n := calls.Load(); n > int64(2*len(specs)) {
+				t.Errorf("At called %d times for %d sessions, want at most %d", n, len(specs), 2*len(specs))
+			}
+			if tc.name == "admission" && len(want.Dropped) == 0 {
+				t.Fatal("the admission run dropped no sessions")
+			}
+			if w, g := names(want.Dropped), names(got.Dropped); !reflect.DeepEqual(w, g) {
+				t.Errorf("Source run dropped %v, Specs run %v", g, w)
+			}
+			if !reflect.DeepEqual(want.Contention, got.Contention) {
+				t.Errorf("contention diverged:\n%+v\nvs\n%+v", want.Contention, got.Contention)
+			}
+			ws, gs := want.Summarize(), got.Summarize()
+			ws.Workers, ws.WallSeconds, gs.Workers, gs.WallSeconds = 0, 0, 0, 0
+			if ws != gs {
+				t.Errorf("summaries diverged:\n%+v\nvs\n%+v", ws, gs)
+			}
+		})
+	}
 }

@@ -78,7 +78,9 @@ func RunPoint(sc Scenario, n int, opt Options) (PointResult, error) {
 	}
 
 	fc := fleetConfig(sc, opt, grid, sc.GPUs)
-	fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
+	if opt.Tracer != nil {
+		fc.TraceLabel = fmt.Sprintf("%s@%d", sc.Name, n)
+	}
 	fc.Source = &fleet.SpecSource{N: n, MeasuredFrames: mint(0).Config.MeasuredFrames(), At: mint}
 	r, sum, err := runWindow(fc)
 	if err != nil {

@@ -257,68 +257,70 @@ func (sc Scenario) Validate() error {
 	}
 	seen := map[string]bool{}
 	for i, ph := range sc.Phases {
-		where := fmt.Sprintf("scenario %q phase %d (%q)", sc.Name, i, ph.Name)
+		// The error context is formatted only on failure: RunPoint
+		// re-validates the scenario at every probe point.
+		where := func() string { return fmt.Sprintf("scenario %q phase %d (%q)", sc.Name, i, ph.Name) }
 		if ph.Name == "" {
 			return fmt.Errorf("scenario %q phase %d: missing name", sc.Name, i)
 		}
 		if seen[ph.Name] {
-			return fmt.Errorf("%s: duplicate phase name", where)
+			return fmt.Errorf("%s: duplicate phase name", where())
 		}
 		seen[ph.Name] = true
 		// Report fields are emitted unescaped (CSV rows, table
 		// columns); keep phase names free of delimiters.
 		if strings.ContainsAny(ph.Name, ",\"\n") {
-			return fmt.Errorf("%s: name must not contain commas, quotes or newlines", where)
+			return fmt.Errorf("%s: name must not contain commas, quotes or newlines", where())
 		}
 		// Numeric checks are written fail-closed: NaN compares false
 		// against everything, so we test for the valid range instead
 		// of the invalid one (the parser rejects non-finite values,
 		// but hand-built Scenarios reach here too).
 		if !(ph.DurationSeconds > 0 && !math.IsInf(ph.DurationSeconds, 0)) {
-			return fmt.Errorf("%s: duration must be positive and finite, got %v", where, ph.DurationSeconds)
+			return fmt.Errorf("%s: duration must be positive and finite, got %v", where(), ph.DurationSeconds)
 		}
 		if ph.Sessions < -1 {
-			return fmt.Errorf("%s: sessions must be >= 0 (or unset), got %d", where, ph.Sessions)
+			return fmt.Errorf("%s: sessions must be >= 0 (or unset), got %d", where(), ph.Sessions)
 		}
 		if ph.Arrive < 0 || ph.Depart < 0 || !(ph.ArrivalRate >= 0 && !math.IsInf(ph.ArrivalRate, 0)) {
-			return fmt.Errorf("%s: arrivals/departures must be non-negative and finite", where)
+			return fmt.Errorf("%s: arrivals/departures must be non-negative and finite", where())
 		}
 		if !(ph.Churn >= 0 && ph.Churn <= 1) {
-			return fmt.Errorf("%s: churn %v out of [0,1]", where, ph.Churn)
+			return fmt.Errorf("%s: churn %v out of [0,1]", where(), ph.Churn)
 		}
 		if ph.Mix != "" {
 			if _, ok := fleet.MixByName(ph.Mix); !ok {
-				return fmt.Errorf("%s: unknown mix %q", where, ph.Mix)
+				return fmt.Errorf("%s: unknown mix %q", where(), ph.Mix)
 			}
 		}
 		for name, f := range ph.NetScale {
 			if _, ok := netsim.ConditionByName(name); !ok {
-				return fmt.Errorf("%s: net-scale names unknown condition %q", where, name)
+				return fmt.Errorf("%s: net-scale names unknown condition %q", where(), name)
 			}
 			if !(f >= 0 && !math.IsInf(f, 0)) {
-				return fmt.Errorf("%s: net-scale.%s = %v must be non-negative and finite", where, name, f)
+				return fmt.Errorf("%s: net-scale.%s = %v must be non-negative and finite", where(), name, f)
 			}
 		}
 		if !gridMode && (len(ph.ClusterGPUs) > 0 || len(ph.ClusterDerate) > 0) {
-			return fmt.Errorf("%s: cluster-gpus/cluster-derate need [cluster] sections", where)
+			return fmt.Errorf("%s: cluster-gpus/cluster-derate need [cluster] sections", where())
 		}
 		if gridMode && ph.GPUs >= 0 {
-			return fmt.Errorf("%s: gpus is the single-cluster knob; use cluster-gpus.<name> in grid mode", where)
+			return fmt.Errorf("%s: gpus is the single-cluster knob; use cluster-gpus.<name> in grid mode", where())
 		}
 		for name, n := range ph.ClusterGPUs {
 			if _, ok := sc.Topology.ClusterByName(name); !ok {
-				return fmt.Errorf("%s: cluster-gpus names unknown cluster %q", where, name)
+				return fmt.Errorf("%s: cluster-gpus names unknown cluster %q", where(), name)
 			}
 			if n < 0 {
-				return fmt.Errorf("%s: cluster-gpus.%s must not be negative, got %d", where, name, n)
+				return fmt.Errorf("%s: cluster-gpus.%s must not be negative, got %d", where(), name, n)
 			}
 		}
 		for name, f := range ph.ClusterDerate {
 			if _, ok := sc.Topology.ClusterByName(name); !ok {
-				return fmt.Errorf("%s: cluster-derate names unknown cluster %q", where, name)
+				return fmt.Errorf("%s: cluster-derate names unknown cluster %q", where(), name)
 			}
 			if !(f >= 0 && f <= 1) {
-				return fmt.Errorf("%s: cluster-derate.%s = %v out of [0,1]", where, name, f)
+				return fmt.Errorf("%s: cluster-derate.%s = %v out of [0,1]", where(), name, f)
 			}
 		}
 	}
