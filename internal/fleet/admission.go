@@ -54,8 +54,12 @@ const (
 // (cluster, WAN path, queue delay, handoff, local-only failover). Run
 // calls the binding from its workers, concurrently across indices, on
 // the spec each worker mints on its own stack; the spec goes in and
-// comes out by value, so it never leaves that stack. Implementations
-// must be deterministic in the population: the fleet's worker-count
+// comes out by value, so it never leaves that stack. Bind calls at(i)
+// exactly once per index i in [0, n), from its own goroutine, before
+// it returns: Run counts cell occupancy from those mints instead of
+// minting the population again (an index Bind skips is minted once
+// more, a repeat is not counted twice). Implementations must be
+// deterministic in the population: the fleet's worker-count
 // invariance contract extends to placement. internal/edge provides
 // the production implementation.
 type Placer interface {
@@ -153,12 +157,28 @@ func admit(cfg Config, src *SpecSource) (n int, bind func(i int, sp SessionSpec)
 	}
 	n = src.N
 	a := cfg.Admission
+	// Cell occupancy counted from the place pass's mints: counted[name]
+	// sessions, the indices set in placed.
+	var counted map[string]int
+	var placed []uint64
 	switch {
 	case cfg.Placer != nil:
 		// Grid mode: the geo-distributed scheduler owns every remote
 		// binding. It never drops — overflow degrades to local-only.
+		at := src.At
+		if cfg.CellCapacity > 0 {
+			counted, placed = map[string]int{}, make([]uint64, (n+63)/64)
+			at = func(i int) SessionSpec {
+				sp := src.At(i)
+				if i >= 0 && i < n && placed[i/64]&(1<<(i%64)) == 0 {
+					placed[i/64] |= 1 << (i % 64)
+					counted[sp.Config.Network.Name]++
+				}
+				return sp
+			}
+		}
 		var gr GridReport
-		bind, gr = cfg.Placer.Bind(n, src.At)
+		bind, gr = cfg.Placer.Bind(n, at)
 		report.FailedOver = gr.FailedOver
 		report.Grid = &gr
 	case a.Enabled && a.Cluster.GPUs <= 0:
@@ -214,7 +234,7 @@ func admit(cfg Config, src *SpecSource) (n int, bind func(i int, sp SessionSpec)
 	}
 
 	if cfg.CellCapacity > 0 {
-		report.SharedCells = shareCells(src, n, cfg.CellCapacity)
+		report.SharedCells = shareCells(src, n, cfg.CellCapacity, counted, placed)
 		if cells, inner := report.SharedCells, bind; cells != nil {
 			bind = func(i int, sp SessionSpec) SessionSpec {
 				if inner != nil {
@@ -234,9 +254,16 @@ func admit(cfg Config, src *SpecSource) (n int, bind func(i int, sp SessionSpec)
 // among the admitted indices [0, n) and returns the bandwidth split
 // factor of each oversubscribed one: its bandwidth splits evenly
 // across the sessions on it. Nil means no cell is oversubscribed.
-func shareCells(src *SpecSource, n, capacity int) map[string]float64 {
-	count := map[string]int{}
+// count, if not nil, already holds the indices set in placed, counted
+// as the place pass minted them; shareCells mints only the rest.
+func shareCells(src *SpecSource, n, capacity int, count map[string]int, placed []uint64) map[string]float64 {
+	if count == nil {
+		count = map[string]int{}
+	}
 	for i := range n {
+		if placed != nil && placed[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
 		count[src.At(i).Config.Network.Name]++
 	}
 	var cells map[string]float64

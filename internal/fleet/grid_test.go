@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -59,7 +60,8 @@ func TestSourceMatchesSpecsOnGrid(t *testing.T) {
 // cell sharing decide over a Source population by index, so a
 // contended run mints each session at most twice — once to decide,
 // once in the worker that runs it — instead of holding the population
-// as a slice. Each run must still give the Specs run's summary,
+// as a slice. A grid with cell sharing counts the cells from its place
+// pass's mints, so it too stays within twice. Each run must still give the Specs run's summary,
 // contention report and dropped sessions.
 func TestContendedSourceMintsByIndex(t *testing.T) {
 	specs := fleet.SpecsForTest(t, 30)
@@ -82,6 +84,13 @@ func TestContendedSourceMintsByIndex(t *testing.T) {
 		}},
 		{"admission", func() fleet.Config { return fleet.Config{Admission: fleet.Admission{Cluster: cluster}} }},
 		{"cells", func() fleet.Config { return fleet.Config{CellCapacity: 4} }},
+		{"placer+cells", func() fleet.Config {
+			g, err := edge.NewGrid(topo, edge.Score)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fleet.Config{Placer: g, CellCapacity: 4}
+		}},
 	}
 	names := func(specs []fleet.SessionSpec) []string {
 		var out []string
@@ -114,6 +123,9 @@ func TestContendedSourceMintsByIndex(t *testing.T) {
 			if tc.name == "admission" && len(want.Dropped) == 0 {
 				t.Fatal("the admission run dropped no sessions")
 			}
+			if strings.HasSuffix(tc.name, "cells") && len(want.Contention.SharedCells) == 0 {
+				t.Fatal("no cell was oversubscribed")
+			}
 			if w, g := names(want.Dropped), names(got.Dropped); !reflect.DeepEqual(w, g) {
 				t.Errorf("Source run dropped %v, Specs run %v", g, w)
 			}
@@ -126,5 +138,32 @@ func TestContendedSourceMintsByIndex(t *testing.T) {
 				t.Errorf("summaries diverged:\n%+v\nvs\n%+v", ws, gs)
 			}
 		})
+	}
+}
+
+// skippingPlacer breaks Placer's mint-once contract: it mints index 0
+// twice, every other even index once and no odd index.
+type skippingPlacer struct{}
+
+func (skippingPlacer) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fleet.SessionSpec) fleet.SessionSpec, fleet.GridReport) {
+	at(0)
+	for i := 0; i < n; i += 2 {
+		at(i)
+	}
+	return func(_ int, sp fleet.SessionSpec) fleet.SessionSpec { return sp }, fleet.GridReport{}
+}
+
+// TestCellsCountEachIndexOnce: a grid run's cell sharing counts every
+// admitted index once even when its Placer mints some twice and some
+// never, so the split factors match a run with no grid.
+func TestCellsCountEachIndexOnce(t *testing.T) {
+	specs := fleet.SpecsForTest(t, 30)
+	want := fleet.Run(fleet.Config{Specs: specs, CellCapacity: 4})
+	got := fleet.Run(fleet.Config{Specs: specs, CellCapacity: 4, Placer: skippingPlacer{}})
+	if len(want.Contention.SharedCells) == 0 {
+		t.Fatal("no cell was oversubscribed")
+	}
+	if !reflect.DeepEqual(want.Contention.SharedCells, got.Contention.SharedCells) {
+		t.Errorf("shared cells %v, want %v", got.Contention.SharedCells, want.Contention.SharedCells)
 	}
 }

@@ -133,6 +133,48 @@ func segmentIntegral(t, r float64) float64 {
 	return (t*math.Sqrt(r*r-t*t) + r*r*math.Asin(t/r)) / 2
 }
 
+// areaRadii is how many whole-degree radii an AreaTable holds: 0
+// through MaxE1.
+const areaRadii = int(MaxE1) + 1
+
+// AreaTable caches one display's clipped disc areas for one gaze: the
+// AreaFraction of each whole-degree radius from 0 to MaxE1, integrated
+// on first use. The LIWC steps e1 in whole degrees and the e2 scan
+// steps one degree at a time from e1, so the partitions one frame
+// computes at nearby fovea radii for one gaze share most of their
+// radii. Other radii are integrated on every call.
+//
+// The table keys itself on the display and on the gaze's bits: a
+// lookup for another display or gaze empties it first, so it never
+// answers for a stale gaze. The zero value is an empty table. A table
+// is owned by one goroutine; it is not safe for concurrent use.
+type AreaTable struct {
+	d      Display
+	gx, gy uint64 // math.Float64bits of the keyed gaze
+	filled [(areaRadii + 63) / 64]uint64
+	frac   [areaRadii]float64
+}
+
+// Fraction returns d.AreaFraction(r, gx, gy) bit for bit, from the
+// table when r is a whole degree in [0, MaxE1]. A nil table integrates
+// every call.
+func (t *AreaTable) Fraction(d Display, r, gx, gy float64) float64 {
+	if t == nil || !(r >= 0 && r <= MaxE1) || r != math.Trunc(r) {
+		return d.AreaFraction(r, gx, gy)
+	}
+	bx, by := math.Float64bits(gx), math.Float64bits(gy)
+	if d != t.d || bx != t.gx || by != t.gy {
+		t.d, t.gx, t.gy, t.filled = d, bx, by, [len(t.filled)]uint64{}
+	}
+	i := int(r)
+	word, bit := i/64, uint64(1)<<(i%64)
+	if t.filled[word]&bit == 0 {
+		t.frac[i] = d.AreaFraction(r, gx, gy)
+		t.filled[word] |= bit
+	}
+	return t.frac[i]
+}
+
 // Layer describes one resolution band of the foveated decomposition.
 type Layer struct {
 	Name string
@@ -232,6 +274,14 @@ func (p *Partitioner) LayerScale(e, floor float64) float64 {
 // grows the middle layer (rendered at the finer middle scale) while a
 // smaller e2 grows the outer layer (coarser but covering more area).
 func (p *Partitioner) Partition(e1, gx, gy float64) (Partition, error) {
+	return p.PartitionWith(nil, e1, gx, gy)
+}
+
+// PartitionWith is Partition reading the fovea's and every candidate
+// e2's disc area through t, so partitions at several fovea radii for
+// one gaze integrate each whole-degree radius once. The result is
+// Partition's bit for bit; a nil t integrates every area afresh.
+func (p *Partitioner) PartitionWith(t *AreaTable, e1, gx, gy float64) (Partition, error) {
 	if e1 < MinE1 || e1 > MaxE1 {
 		return Partition{}, ErrEccentricity
 	}
@@ -241,7 +291,7 @@ func (p *Partitioner) Partition(e1, gx, gy float64) (Partition, error) {
 	var part Partition
 	part.E1 = e1
 	part.Gaze.X, part.Gaze.Y = gx, gy
-	part.FoveaAreaFraction = d.AreaFraction(e1, gx, gy)
+	part.FoveaAreaFraction = t.Fraction(d, e1, gx, gy)
 
 	total := float64(d.TotalPixels())
 	foveaPixels := part.FoveaAreaFraction * total
@@ -262,14 +312,14 @@ func (p *Partitioner) Partition(e1, gx, gy float64) (Partition, error) {
 	}
 
 	// Scan candidate e2 values minimizing periphery payload. Each step
-	// integrates the disc once; the winner's area is kept for sizing.
+	// reads one disc area; the winner's area is kept for sizing.
 	bestE2 := e1
 	bestCost := math.Inf(1)
 	bestArea := 0.0
 	sMid := p.LayerScale(e1, p.MidScaleFloor) // middle sampled for its inner edge
 	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
 		sOut := p.LayerScale(e2, p.OuterScaleFloor)
-		area := d.AreaFraction(e2, gx, gy)
+		area := t.Fraction(d, e2, gx, gy)
 		midFrac, outFrac := bandFractions(area, part.FoveaAreaFraction)
 		cost := midFrac*total*sMid*sMid + outFrac*total*sOut*sOut
 		if cost < bestCost {

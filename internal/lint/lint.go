@@ -115,6 +115,22 @@ var deterministicPrefixes = []string{
 	"qvr/internal/report",
 	"qvr/internal/experiments",
 	"qvr/internal/lint",
+	// The rest of the output packages' import closure: the models every
+	// session and fast-path run computes with.
+	"qvr/internal/atw",
+	"qvr/internal/codec",
+	"qvr/internal/energy",
+	"qvr/internal/foveation",
+	"qvr/internal/fp16",
+	"qvr/internal/gpu",
+	"qvr/internal/liwc",
+	"qvr/internal/mcpat",
+	"qvr/internal/motion",
+	"qvr/internal/raster",
+	"qvr/internal/scene",
+	"qvr/internal/surrogate",
+	"qvr/internal/uca",
+	"qvr/internal/vec",
 }
 
 // DeterministicPackage reports whether the import path is under the

@@ -182,13 +182,18 @@ func (s *session) staticJoin() {
 // session owns one instance (refreshed per frame) and hands out its
 // pointer, so the interface conversion never allocates.
 //
-// It also remembers the last successful partition: the LIWC sizes the
-// periphery at the e1 it plans, and the frame then partitions at that
-// same e1 and gaze, so the second scan is answered from the memo.
+// Every disc area it needs goes through its one AreaTable, keyed on
+// the frame's gaze: the LIWC's partitions at the current and the
+// planned e1, both fovea shares, and the frame's own partition read
+// each whole-degree radius at most once per frame. It also remembers
+// the last successful partition: the LIWC sizes the periphery at the
+// e1 it plans, and the frame then partitions at that same e1 and gaze,
+// so the second scan is answered from the memo.
 type liwcGeom struct {
 	part    *foveation.Partitioner
 	gx, gy  float64
 	density float64
+	areas   foveation.AreaTable
 
 	memoOK    bool
 	memoKey   [3]uint64 // Float64bits of (e1, gx, gy)
@@ -197,7 +202,7 @@ type liwcGeom struct {
 
 func (g *liwcGeom) FoveaShare(e1 float64) float64 {
 	e1 = foveation.ClampE1(e1)
-	share := g.part.Display.AreaFraction(e1, g.gx, g.gy) * g.density
+	share := g.areas.Fraction(g.part.Display, e1, g.gx, g.gy) * g.density
 	if share > 1 {
 		share = 1
 	}
@@ -220,7 +225,7 @@ func (g *liwcGeom) partition(e1 float64) (foveation.Partition, error) {
 	if g.memoOK && key == g.memoKey {
 		return g.memoValue, nil
 	}
-	p, err := g.part.Partition(e1, g.gx, g.gy)
+	p, err := g.part.PartitionWith(&g.areas, e1, g.gx, g.gy)
 	if err != nil {
 		return p, err
 	}
@@ -318,7 +323,7 @@ func (s *session) collabPeriphery() {
 	f := &s.frame
 	app := s.cfg.App
 	part := f.part
-	midFrac := s.disp.AreaFraction(part.E2, f.sample.Gaze.X, f.sample.Gaze.Y) - part.FoveaAreaFraction
+	midFrac := s.geom.areas.Fraction(s.disp, part.E2, f.sample.Gaze.X, f.sample.Gaze.Y) - part.FoveaAreaFraction
 	if midFrac < 0 {
 		midFrac = 0
 	}
