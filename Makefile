@@ -209,20 +209,33 @@ obs-smoke:
 	$(GO) build -o bin/qvr-scenario ./cmd/qvr-scenario
 	./scripts/metrics_smoke.sh ./bin/qvr-scenario -builtin edge-regional-outage -frames 8 -warmup 4
 
-# Profile the scale scenario: CPU + end-of-run heap profiles of the
-# real fleet workload (not a synthetic benchmark), for the
-# measure-then-tune loop. Inspect with `go tool pprof`.
+# Profile the real fleet workloads (not a synthetic benchmark), for the
+# measure-then-tune loop: CPU + end-of-run heap profiles of the
+# mega-steady scale scenario, and a CPU profile of the capacity probe's
+# many small contended runs, where the tracker's share shows. One probe
+# takes ~0.2 s, so five identical runs are merged into one profile.
+# Inspect with `go tool pprof`.
 profile: build
 	@mkdir -p bin
 	./bin/qvr-scenario -builtin mega-steady -frames 2 -warmup 1 -workers 4 \
 		-cpuprofile bin/scenario-cpu.prof -memprofile bin/scenario-mem.prof > /dev/null
-	@echo "wrote bin/scenario-cpu.prof and bin/scenario-mem.prof"
+	for i in 1 2 3 4 5; do \
+		./bin/qvr-capacity -builtin capacity-probe -frames 20 -max 64 -params "" -scale-workers "" \
+			-cpuprofile bin/capacity-cpu-$$i.prof > /dev/null || exit 1; \
+	done
+	$(GO) tool pprof -proto bin/capacity-cpu-[1-5].prof > bin/capacity-cpu.prof
+	@rm -f bin/capacity-cpu-[1-5].prof
+	@echo "wrote bin/scenario-cpu.prof, bin/scenario-mem.prof and bin/capacity-cpu.prof"
 	@echo "inspect with: go tool pprof bin/scenario-cpu.prof"
 
-# The CPU profile's top 20 functions by flat time: the shares quoted in
-# ROADMAP.md, reproduced with one command.
+# Each CPU profile's top 20 functions by flat time, mega-steady then the
+# capacity probe: the shares quoted in ROADMAP.md, reproduced with one
+# command.
 profile-top: profile
+	@echo "== mega-steady (bin/scenario-cpu.prof) =="
 	$(GO) tool pprof -top -nodecount=20 bin/scenario-cpu.prof
+	@echo "== capacity-probe (bin/capacity-cpu.prof) =="
+	$(GO) tool pprof -top -nodecount=20 bin/capacity-cpu.prof
 
 # The heap profile's top 20 functions by objects allocated over the
 # whole run: where per-session allocations come from.

@@ -90,38 +90,69 @@ func (d Display) TotalPixels() int { return d.Width * d.Height }
 // at the origin, the display rectangle [xa, xb] x [ya, yb] is the
 // inclusion–exclusion of four corner-anchored quadrant rectangles, and
 // each quadrant's overlap with the disc is a rectangle plus a circular
-// segment (quadrantArea).
+// segment. Each edge's segment integral is taken at most once per
+// call, though two quadrants share it.
 func (d Display) AreaFraction(e1, gx, gy float64) float64 {
 	if e1 <= 0 {
 		return 0
 	}
 	halfW, halfV := d.FovH/2, d.FovV/2
-	xa, xb := -halfW-gx, halfW-gx
-	ya, yb := -halfV-gy, halfV-gy
-	area := quadrantArea(xb, yb, e1) - quadrantArea(xa, yb, e1) -
-		quadrantArea(xb, ya, e1) + quadrantArea(xa, ya, e1)
+	r, rr := e1, e1*e1
+	// The display's edges seen from the gaze, clipped to the disc:
+	// x[0], x[1] the right and left, y[0], y[1] the top and bottom.
+	var x, y [2]float64
+	var xneg, yneg [2]bool
+	x[0], xneg[0] = clipEdge(halfW-gx, r)
+	x[1], xneg[1] = clipEdge(-halfW-gx, r)
+	y[0], yneg[0] = clipEdge(halfV-gy, r)
+	y[1], yneg[1] = clipEdge(-halfV-gy, r)
+	// out[i][j]: the corner of x[i] and y[j] lies outside the disc, so
+	// its quadrant is a rectangle up to the chord's end plus a segment.
+	var out [2][2]bool
+	for i := range x {
+		for j := range y {
+			out[i][j] = !(x[i]*x[i]+y[j]*y[j] <= rr)
+		}
+	}
+	// Each x-edge's segment integral, and each y-edge's chord end xs and
+	// its segment integral, taken once for the quadrants that share it.
+	var segX, xs, segY [2]float64
+	for i := range x {
+		if out[i][0] || out[i][1] {
+			segX[i] = segmentIntegral(x[i], r)
+		}
+	}
+	for j := range y {
+		if out[0][j] || out[1][j] {
+			xs[j] = math.Sqrt(rr - y[j]*y[j])
+			segY[j] = segmentIntegral(xs[j], r)
+		}
+	}
+	// quadrant is the signed area of the disc inside the rectangle
+	// spanned by the gaze and the corner of x[i] and y[j]: its sign is
+	// that of the corner's x*y, so four of them sum to the display's
+	// overlap with the disc.
+	quadrant := func(i, j int) float64 {
+		sign := 1.0
+		if xneg[i] != yneg[j] {
+			sign = -1
+		}
+		if !out[i][j] {
+			return sign * x[i] * y[j]
+		}
+		return sign * (xs[j]*y[j] + segX[i] - segY[j])
+	}
+	area := quadrant(0, 0) - quadrant(1, 0) - quadrant(0, 1) + quadrant(1, 1)
 	return max(area, 0) / (d.FovH * d.FovV)
 }
 
-// quadrantArea returns the signed area of the disc of radius r at the
-// origin inside the rectangle spanned by the origin and (x, y): its
-// sign is that of x*y, so four of them sum to any axis-aligned
-// rectangle's overlap with the disc.
-func quadrantArea(x, y, r float64) float64 {
-	sign := 1.0
-	if x < 0 {
-		x, sign = -x, -sign
+// clipEdge returns an edge's distance from the gaze clipped to the
+// disc radius r, and whether the edge lies on the negative side.
+func clipEdge(coord, r float64) (v float64, neg bool) {
+	if coord < 0 {
+		return min(-coord, r), true
 	}
-	if y < 0 {
-		y, sign = -y, -sign
-	}
-	x, y = min(x, r), min(y, r)
-	if x*x+y*y <= r*r {
-		return sign * x * y // the corner lies inside the disc
-	}
-	// Full height y up to the chord's end xs, then the disc's edge.
-	xs := math.Sqrt(r*r - y*y)
-	return sign * (xs*y + segmentIntegral(x, r) - segmentIntegral(xs, r))
+	return min(coord, r), false
 }
 
 // segmentIntegral is the integral of sqrt(r²-s²) over s in [0, t], for
@@ -257,7 +288,16 @@ func NewPartitioner(d Display) *Partitioner {
 // (floor, 1]. The display is already far coarser than foveal acuity,
 // so the scale stays 1 until the eye's MAR overtakes the display's.
 func (p *Partitioner) LayerScale(e, floor float64) float64 {
-	nyquist := 2 / p.Display.PixelsPerDegree()
+	return p.layerScale(p.nyquist(), e, floor)
+}
+
+// nyquist returns the display's Nyquist MAR: 2 pixels per cycle at
+// native density, in degrees per cycle.
+func (p *Partitioner) nyquist() float64 { return 2 / p.Display.PixelsPerDegree() }
+
+// layerScale is LayerScale with the display's Nyquist MAR taken once
+// by the caller, so a scan over e2 does not divide it out per step.
+func (p *Partitioner) layerScale(nyquist, e, floor float64) float64 {
 	s := nyquist / p.MAR.At(e)
 	if s > 1 {
 		s = 1
@@ -316,9 +356,10 @@ func (p *Partitioner) PartitionWith(t *AreaTable, e1, gx, gy float64) (Partition
 	bestE2 := e1
 	bestCost := math.Inf(1)
 	bestArea := 0.0
-	sMid := p.LayerScale(e1, p.MidScaleFloor) // middle sampled for its inner edge
+	nyquist := p.nyquist()
+	sMid := p.layerScale(nyquist, e1, p.MidScaleFloor) // middle sampled for its inner edge
 	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
-		sOut := p.LayerScale(e2, p.OuterScaleFloor)
+		sOut := p.layerScale(nyquist, e2, p.OuterScaleFloor)
 		area := t.Fraction(d, e2, gx, gy)
 		midFrac, outFrac := bandFractions(area, part.FoveaAreaFraction)
 		cost := midFrac*total*sMid*sMid + outFrac*total*sOut*sOut
@@ -330,7 +371,7 @@ func (p *Partitioner) PartitionWith(t *AreaTable, e1, gx, gy float64) (Partition
 	}
 
 	e2 := bestE2
-	sOut := p.LayerScale(e2, p.OuterScaleFloor)
+	sOut := p.layerScale(nyquist, e2, p.OuterScaleFloor)
 	midFrac, outFrac := bandFractions(bestArea, part.FoveaAreaFraction)
 
 	part.E2 = e2

@@ -278,9 +278,45 @@ func refAreaFraction(d Display, e1, gx, gy float64) float64 {
 	return area / (d.FovH * d.FovV)
 }
 
+// quadrantAreaFraction is AreaFraction as it was before the quadrants
+// shared their edges' segment integrals: each of the four quadrants
+// takes its own, so the worst case takes 8 asin per call.
+func quadrantAreaFraction(d Display, e1, gx, gy float64) float64 {
+	if e1 <= 0 {
+		return 0
+	}
+	halfW, halfV := d.FovH/2, d.FovV/2
+	xa, xb := -halfW-gx, halfW-gx
+	ya, yb := -halfV-gy, halfV-gy
+	area := quadrantArea(xb, yb, e1) - quadrantArea(xa, yb, e1) -
+		quadrantArea(xb, ya, e1) + quadrantArea(xa, ya, e1)
+	return max(area, 0) / (d.FovH * d.FovV)
+}
+
+// quadrantArea returns the signed area of the disc of radius r at the
+// origin inside the rectangle spanned by the origin and (x, y): its
+// sign is that of x*y, so four of them sum to any axis-aligned
+// rectangle's overlap with the disc.
+func quadrantArea(x, y, r float64) float64 {
+	sign := 1.0
+	if x < 0 {
+		x, sign = -x, -sign
+	}
+	if y < 0 {
+		y, sign = -y, -sign
+	}
+	x, y = min(x, r), min(y, r)
+	if x*x+y*y <= r*r {
+		return sign * x * y // the corner lies inside the disc
+	}
+	// Full height y up to the chord's end xs, then the disc's edge.
+	xs := math.Sqrt(r*r - y*y)
+	return sign * (xs*y + segmentIntegral(x, r) - segmentIntegral(xs, r))
+}
+
 // refPartition is Partition as it was before the scan integrated each
 // candidate disc once: two area calls per e2 step, then a recompute at
-// the winning e2. It uses the kernel under test, d.AreaFraction.
+// the winning e2, each through the quadrant reference kernel.
 func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	if e1 < MinE1 || e1 > MaxE1 {
 		return Partition{}, ErrEccentricity
@@ -291,7 +327,7 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	var part Partition
 	part.E1 = e1
 	part.Gaze.X, part.Gaze.Y = gx, gy
-	part.FoveaAreaFraction = d.AreaFraction(e1, gx, gy)
+	part.FoveaAreaFraction = quadrantAreaFraction(d, e1, gx, gy)
 
 	total := float64(d.TotalPixels())
 	foveaPixels := part.FoveaAreaFraction * total
@@ -310,11 +346,11 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 	sMid := p.LayerScale(e1, p.MidScaleFloor)
 	for e2 := e1; e2 <= maxEcc+1e-9; e2 += 1 {
 		sOut := p.LayerScale(e2, p.OuterScaleFloor)
-		midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
+		midFrac := quadrantAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
 		if midFrac < 0 {
 			midFrac = 0
 		}
-		outFrac := 1 - d.AreaFraction(e2, gx, gy)
+		outFrac := 1 - quadrantAreaFraction(d, e2, gx, gy)
 		if outFrac < 0 {
 			outFrac = 0
 		}
@@ -327,11 +363,11 @@ func refPartition(p *Partitioner, e1, gx, gy float64) (Partition, error) {
 
 	e2 := bestE2
 	sOut := p.LayerScale(e2, p.OuterScaleFloor)
-	midFrac := d.AreaFraction(e2, gx, gy) - part.FoveaAreaFraction
+	midFrac := quadrantAreaFraction(d, e2, gx, gy) - part.FoveaAreaFraction
 	if midFrac < 0 {
 		midFrac = 0
 	}
-	outFrac := 1 - d.AreaFraction(e2, gx, gy)
+	outFrac := 1 - quadrantAreaFraction(d, e2, gx, gy)
 	if outFrac < 0 {
 		outFrac = 0
 	}
@@ -374,9 +410,11 @@ var (
 )
 
 // TestPartitionBitIdenticalToReference holds the single-integration
-// scan to the reference scan bit for bit, over the whole grid. Both
-// call the same area kernel; the kernel itself is held to analytic
-// areas and to the strip rule by the AreaFraction tests below.
+// scan to the reference scan bit for bit, over the whole grid. The
+// reference integrates through quadrantAreaFraction, which
+// TestAreaFractionMatchesQuadrantReference holds AreaFraction to bit
+// for bit; AreaFraction is held to analytic areas and to the strip
+// rule by the tests below.
 func TestPartitionBitIdenticalToReference(t *testing.T) {
 	p := NewPartitioner(DefaultDisplay)
 	for _, e1 := range bitGridE1 {
@@ -481,6 +519,98 @@ func TestAreaFractionMatchesStripRule(t *testing.T) {
 		}
 	}
 	t.Logf("largest relative departure from the strip rule: %.3g", worst)
+}
+
+// TestAreaFractionMatchesQuadrantReference holds AreaFraction to the
+// quadrant reference kernel bit for bit on seeded random inputs: radii
+// below the nearest edge, between the nearest and farthest edges,
+// between the farthest edge and the farthest corner, past that corner,
+// and at or below zero; gazes inside the display, on its edges and
+// past each of them, so every quadrant's signs flip; whole-degree
+// radii; and displays other than the default.
+func TestAreaFractionMatchesQuadrantReference(t *testing.T) {
+	const inputs = 1_000_000
+	rng := rand.New(rand.NewSource(27))
+	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	d := DefaultDisplay
+	for n := 0; n < inputs; n++ {
+		if n%1000 == 0 {
+			d = DefaultDisplay
+			if rng.Intn(2) == 0 {
+				d = Display{Width: 1 + rng.Intn(4000), Height: 1 + rng.Intn(4000), FovH: uniform(10, 200), FovV: uniform(10, 200)}
+			}
+		}
+		halfW, halfV := d.FovH/2, d.FovV/2
+		var gx, gy float64
+		switch rng.Intn(4) {
+		case 0: // on an edge or a corner
+			gx = []float64{-halfW, halfW, uniform(-halfW, halfW)}[rng.Intn(3)]
+			gy = []float64{-halfV, halfV, uniform(-halfV, halfV)}[rng.Intn(3)]
+		case 1: // past the edges
+			gx, gy = uniform(-halfW-30, halfW+30), uniform(-halfV-30, halfV+30)
+		default:
+			gx, gy = uniform(-halfW, halfW), uniform(-halfV, halfV)
+		}
+		dx := [2]float64{math.Abs(halfW - gx), math.Abs(-halfW - gx)}
+		dy := [2]float64{math.Abs(halfV - gy), math.Abs(-halfV - gy)}
+		near := min(dx[0], dx[1], dy[0], dy[1])
+		far := max(dx[0], dx[1], dy[0], dy[1])
+		corner := math.Hypot(max(dx[0], dx[1]), max(dy[0], dy[1]))
+		var r float64
+		switch rng.Intn(7) {
+		case 0:
+			r = uniform(0, near)
+		case 1:
+			r = uniform(near, far)
+		case 2:
+			r = uniform(far, corner)
+		case 3:
+			r = uniform(corner, corner+40)
+		case 4:
+			r = -uniform(0, 10) * float64(rng.Intn(2)) // r <= 0, zero included
+		case 5:
+			r = float64(rng.Intn(int(MaxE1) + 1))
+		default:
+			r = []float64{near, far, corner}[rng.Intn(3)]
+		}
+		got, want := d.AreaFraction(r, gx, gy), quadrantAreaFraction(d, r, gx, gy)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("display %+v: AreaFraction(%v, %v, %v) = %v, quadrant reference %v", d, r, gx, gy, got, want)
+		}
+	}
+}
+
+func TestAreaFractionAllocatesNothing(t *testing.T) {
+	d := DefaultDisplay
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		sink = d.AreaFraction(60, 40, -20)
+	})
+	if allocs != 0 {
+		t.Errorf("AreaFraction allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
+}
+
+// BenchmarkAreaFraction times one clipped disc area: the kernel under
+// every partition's e2 scan, over whole-degree radii MinE1 to MaxE1 at
+// the three gazes BenchmarkPartition uses.
+func BenchmarkAreaFraction(b *testing.B) {
+	d := DefaultDisplay
+	type input struct{ r, gx, gy float64 }
+	var in []input
+	for _, g := range [][2]float64{{0, 0}, {-12.5, 17.5}, {40, -20}} {
+		for r := MinE1; r <= MaxE1; r++ {
+			in = append(in, input{r, g[0], g[1]})
+		}
+	}
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		x := in[i%len(in)]
+		sink = d.AreaFraction(x.r, x.gx, x.gy)
+	}
+	_ = sink
 }
 
 // BenchmarkPartition times one e1 sweep (MinE1 to 70 degrees in

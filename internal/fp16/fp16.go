@@ -19,8 +19,6 @@ const (
 	expMask16  = 0x7C00
 	manMask16  = 0x03FF
 
-	// MaxValue is the largest finite half-precision value (65504).
-	MaxValue = 65504.0
 	// SmallestNonzero is the smallest positive subnormal (2^-24).
 	SmallestNonzero = 5.9604644775390625e-08
 )

@@ -145,12 +145,6 @@ func DeterministicPackage(path string) bool {
 	return false
 }
 
-// DeterministicPackages returns a copy of the contract's import-path
-// prefixes, for documentation and tests.
-func DeterministicPackages() []string {
-	return append([]string(nil), deterministicPrefixes...)
-}
-
 // AppliesTo reports whether the analyzer should run over the package.
 func (a *Analyzer) AppliesTo(pkgPath string) bool {
 	return !a.DeterministicOnly || DeterministicPackage(pkgPath)

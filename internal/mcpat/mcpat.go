@@ -11,9 +11,6 @@
 // ~94 mW.
 package mcpat
 
-// TechnologyNM is the modeled process node.
-const TechnologyNM = 45
-
 // SRAM models an on-chip SRAM array.
 type SRAM struct {
 	Bytes int

@@ -205,6 +205,35 @@ type Generator struct {
 	dist       float64
 	distTarget float64
 	distSpeed  float64
+
+	// Step constants for the last step's dt, taken when dt changes:
+	// the OU decay and noise scale, and sqrt(dt) for the positional
+	// walk. stepDT is 0 until the first step.
+	stepDT, decay, angNoise, sqrtDT float64
+}
+
+// sensed is one generator step's observation before its orientation
+// is built: the head's Euler angles stand in for the quaternion, which
+// sample makes from them only for an observation that is read.
+type sensed struct {
+	t     float64
+	euler [3]float64 // yaw, pitch, roll (rad)
+	pos   vec.Vec3
+	gaze  vec.Vec2
+	dist  float64
+}
+
+// sample builds the tracker sample s stands for.
+func (s *sensed) sample() Sample {
+	return Sample{
+		TimeSec: s.t,
+		Head: Pose{
+			Position:    s.pos,
+			Orientation: vec.FromEuler(s.euler[0], s.euler[1], s.euler[2]),
+		},
+		Gaze:         s.gaze,
+		InteractDist: s.dist,
+	}
 }
 
 // NewGenerator creates a seeded generator for the given profile.
@@ -244,11 +273,24 @@ func (g *Generator) expDur(mean float64) float64 {
 // Advance moves the model forward by dt seconds and returns the new
 // tracker sample. dt must be positive.
 func (g *Generator) Advance(dt float64) Sample {
+	s := g.step(dt)
+	return s.sample()
+}
+
+// step moves the model forward by dt seconds and returns the new
+// observation, its orientation not yet built.
+func (g *Generator) step(dt float64) sensed {
 	if dt <= 0 {
 		dt = 1e-4
 	}
-	p := g.profile
+	p := &g.profile
 	g.t += dt
+	if dt != g.stepDT {
+		g.stepDT = dt
+		g.decay = math.Exp(-dt / p.AngTau)
+		g.angNoise = p.AngSigma * math.Sqrt(1-g.decay*g.decay)
+		g.sqrtDT = math.Sqrt(dt)
+	}
 
 	// Rapid-turn bursts arrive as a Poisson process.
 	if g.t >= g.turnUntil && g.rng.Float64() < p.TurnRate*dt {
@@ -266,9 +308,8 @@ func (g *Generator) Advance(dt float64) Sample {
 
 	// OU angular velocity update: dv = -v/tau dt + sigma*sqrt(2dt/tau) dW.
 	for i := 0; i < 3; i++ {
-		decay := math.Exp(-dt / p.AngTau)
-		noise := p.AngSigma * math.Sqrt(1-decay*decay) * g.rng.NormFloat64()
-		g.angVel[i] = g.angVel[i]*decay + noise
+		noise := g.angNoise * g.rng.NormFloat64()
+		g.angVel[i] = g.angVel[i]*g.decay + noise
 		v := g.angVel[i]
 		if g.t < g.turnUntil {
 			v += g.turnVel[i]
@@ -282,9 +323,9 @@ func (g *Generator) Advance(dt float64) Sample {
 
 	// Positional drift.
 	g.pos = g.pos.Add(vec.Vec3{
-		X: g.rng.NormFloat64() * p.PosSigma * math.Sqrt(dt),
-		Y: g.rng.NormFloat64() * p.PosSigma * 0.3 * math.Sqrt(dt),
-		Z: g.rng.NormFloat64() * p.PosSigma * math.Sqrt(dt),
+		X: g.rng.NormFloat64() * p.PosSigma * g.sqrtDT,
+		Y: g.rng.NormFloat64() * p.PosSigma * 0.3 * g.sqrtDT,
+		Z: g.rng.NormFloat64() * p.PosSigma * g.sqrtDT,
 	})
 
 	// Eye: saccade or fixation.
@@ -323,15 +364,7 @@ func (g *Generator) Advance(dt float64) Sample {
 		g.dist = math.Max(g.dist-g.distSpeed*dt, g.distTarget)
 	}
 
-	return Sample{
-		TimeSec: g.t,
-		Head: Pose{
-			Position:    g.pos,
-			Orientation: vec.FromEuler(g.euler[0], g.euler[1], g.euler[2]),
-		},
-		Gaze:         g.gaze,
-		InteractDist: g.dist,
-	}
+	return sensed{t: g.t, euler: g.euler, pos: g.pos, gaze: g.gaze, dist: g.dist}
 }
 
 func clamp(x, lo, hi float64) float64 {

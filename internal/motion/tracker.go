@@ -25,8 +25,9 @@ type Tracker struct {
 	// requested time by less than one period, so the answer is always
 	// among the newest few samples; keeping a fixed window makes the
 	// tracker O(1) memory (and allocation-free in steady state) no
-	// matter how long the session runs.
-	samples   []Sample
+	// matter how long the session runs. Entries keep Euler angles:
+	// only the sample SampleAt returns gets its orientation built.
+	samples   []sensed
 	generated float64 // timestamp of the newest generated sample
 
 	// Gaze measurement noise: production eye trackers are accurate to
@@ -85,12 +86,12 @@ func (tr *Tracker) Release() {
 	tr.noiseRng = nil
 }
 
-func (tr *Tracker) perturb(s Sample) Sample {
+func (tr *Tracker) perturb(s sensed) sensed {
 	if tr.gazeNoise <= 0 || tr.noiseRng == nil {
 		return s
 	}
-	s.Gaze.X += tr.noiseRng.NormFloat64() * tr.gazeNoise
-	s.Gaze.Y += tr.noiseRng.NormFloat64() * tr.gazeNoise
+	s.gaze.X += tr.noiseRng.NormFloat64() * tr.gazeNoise
+	s.gaze.Y += tr.noiseRng.NormFloat64() * tr.gazeNoise
 	return s
 }
 
@@ -108,36 +109,36 @@ func (tr *Tracker) SampleAt(t float64) Sample {
 	avail := t - tr.transmit
 	dt := 1 / tr.hz
 	for tr.generated <= avail {
-		tr.push(tr.perturb(tr.gen.Advance(dt)))
+		tr.push(tr.perturb(tr.gen.step(dt)))
 		tr.generated += dt
 	}
 	// Binary search would be overkill: frames consume samples nearly
 	// in order, so scan from the back.
 	for i := len(tr.samples) - 1; i >= 0; i-- {
-		if tr.samples[i].TimeSec <= avail {
-			return tr.samples[i]
+		if tr.samples[i].t <= avail {
+			return tr.samples[i].sample()
 		}
 	}
 	if len(tr.samples) > 0 {
-		return tr.samples[0]
+		return tr.samples[0].sample()
 	}
 	// No sample is available yet (very start of the session): sense one.
-	s := tr.perturb(tr.gen.Advance(dt))
+	s := tr.perturb(tr.gen.step(dt))
 	tr.push(s)
 	tr.generated += dt
-	return s
+	return s.sample()
 }
 
 // push appends a sample, sliding the bounded window in place so the
 // backing array is allocated once and reused for the whole session.
-func (tr *Tracker) push(s Sample) {
+func (tr *Tracker) push(s sensed) {
 	if len(tr.samples) == sampleWindow {
 		copy(tr.samples, tr.samples[1:])
 		tr.samples[sampleWindow-1] = s
 		return
 	}
 	if cap(tr.samples) == 0 {
-		tr.samples = make([]Sample, 0, sampleWindow)
+		tr.samples = make([]sensed, 0, sampleWindow)
 	}
 	tr.samples = append(tr.samples, s)
 }

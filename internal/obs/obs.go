@@ -387,9 +387,6 @@ func (snap Snapshot) HistogramCount(h Histogram) int64 {
 	return n
 }
 
-// HistogramSum returns the merged value sum of h.
-func (snap Snapshot) HistogramSum(h Histogram) int64 { return snap.hsum[h] }
-
 // BucketLine is one cumulative histogram bucket of a Line, in the
 // Prometheus convention: Count is the number of observations at or
 // below LE, and the final bucket's LE is "+Inf".
