@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -67,45 +68,13 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	design, ok := pipeline.DesignByName(*designName)
-	if !ok {
-		fail("unknown design %q", *designName)
-	}
-	mix, ok := fleet.MixByName(*mixName)
-	if !ok {
-		fail("unknown mix %q (have: %s)", *mixName, strings.Join(fleet.MixNames(), " "))
-	}
-	specs, err := mix.Specs(*sessions, design, *frames, *warmup, *seed)
+	cfg, err := fleetConfig(options{
+		sessions: *sessions, workers: *workers, mix: *mixName, net: *netName,
+		frames: *frames, warmup: *warmup, design: *designName, seed: *seed,
+		gpus: *gpus, cell: *cell, fidelity: *fidelity, calibration: *calibration,
+	})
 	if err != nil {
 		fail("%v", err)
-	}
-	if *netName != "" {
-		name := *netName
-		if full, ok := netAliases[strings.ToLower(name)]; ok {
-			name = full
-		}
-		cond, ok := netsim.ConditionByName(name)
-		if !ok {
-			fail("unknown network %q", *netName)
-		}
-		for i := range specs {
-			specs[i].Config.Network = cond
-		}
-	}
-
-	cfg := fleet.Config{Specs: specs, Workers: *workers, CellCapacity: *cell}
-	if *gpus > 0 {
-		cfg.Admission = fleet.Admission{Cluster: gpu.DefaultRemote().WithGPUs(*gpus)}
-	}
-	if *fidelity > 0 {
-		if *fidelity > 1 {
-			fail("-fidelity must be in (0, 1], got %g", *fidelity)
-		}
-		cfg.Fidelity = &fleet.Fidelity{
-			Runner:        surrogate.New(),
-			ExactFraction: *fidelity,
-			Calibration:   *calibration,
-		}
 	}
 	cfg.Obs = obsFlags.Registry()
 	cfg.Tracer = obsFlags.Tracer()
@@ -132,13 +101,8 @@ func main() {
 		}
 		rec.EndWindow(series.Window{Label: "fleet", Gauges: gauges})
 	}
-	switch form {
-	case cliout.Table:
-		printTable(r)
-	case cliout.JSON:
-		printJSON(r)
-	case cliout.CSV:
-		printCSV(r)
+	if err := report(os.Stdout, r, form); err != nil {
+		fail("%v", err)
 	}
 	obsFlags.Finish("qvr-fleet", fleet.Expectations(r))
 	// Refute-and-refine, the failing half: the report above carries
@@ -153,23 +117,92 @@ func fail(format string, args ...interface{}) {
 	cliout.Fail("qvr-fleet", format, args...)
 }
 
-func printTable(r fleet.Result) {
-	fmt.Printf("%-20s %-8s %7s %-9s %8s %8s %6s %8s %10s\n",
+// options are the command's simulation flags.
+type options struct {
+	sessions, workers int
+	mix, net, design  string
+	frames, warmup    int
+	seed              int64
+	gpus, cell        int
+	fidelity          float64
+	calibration       int
+}
+
+// fleetConfig builds the fleet run the flags describe.
+func fleetConfig(o options) (fleet.Config, error) {
+	design, ok := pipeline.DesignByName(o.design)
+	if !ok {
+		return fleet.Config{}, fmt.Errorf("unknown design %q", o.design)
+	}
+	mix, ok := fleet.MixByName(o.mix)
+	if !ok {
+		return fleet.Config{}, fmt.Errorf("unknown mix %q (have: %s)", o.mix, strings.Join(fleet.MixNames(), " "))
+	}
+	specs, err := mix.Specs(o.sessions, design, o.frames, o.warmup, o.seed)
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	if o.net != "" {
+		name := o.net
+		if full, ok := netAliases[strings.ToLower(name)]; ok {
+			name = full
+		}
+		cond, ok := netsim.ConditionByName(name)
+		if !ok {
+			return fleet.Config{}, fmt.Errorf("unknown network %q", o.net)
+		}
+		for i := range specs {
+			specs[i].Config.Network = cond
+		}
+	}
+
+	cfg := fleet.Config{Specs: specs, Workers: o.workers, CellCapacity: o.cell}
+	if o.gpus > 0 {
+		cfg.Admission = fleet.Admission{Cluster: gpu.DefaultRemote().WithGPUs(o.gpus)}
+	}
+	if o.fidelity > 0 {
+		if o.fidelity > 1 {
+			return fleet.Config{}, fmt.Errorf("-fidelity must be in (0, 1], got %g", o.fidelity)
+		}
+		cfg.Fidelity = &fleet.Fidelity{
+			Runner:        surrogate.New(),
+			ExactFraction: o.fidelity,
+			Calibration:   o.calibration,
+		}
+	}
+	return cfg, nil
+}
+
+// report writes the run's per-session rows and summary in one format.
+func report(w io.Writer, r fleet.Result, form cliout.Format) error {
+	switch form {
+	case cliout.Table:
+		printTable(w, r)
+	case cliout.JSON:
+		return printJSON(w, r)
+	case cliout.CSV:
+		printCSV(w, r)
+	}
+	return nil
+}
+
+func printTable(w io.Writer, r fleet.Result) {
+	fmt.Fprintf(w, "%-20s %-8s %7s %-9s %8s %8s %6s %8s %10s\n",
 		"session", "app", "GPU", "network", "MTP(ms)", "p99(ms)", "FPS", "e1(deg)", "KB/frame")
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
-		fmt.Printf("%-20s %-8s %5.0fMHz %-9s %8.1f %8.1f %6.0f %8.1f %10.1f\n",
+		fmt.Fprintf(w, "%-20s %-8s %5.0fMHz %-9s %8.1f %8.1f %6.0f %8.1f %10.1f\n",
 			sr.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
 			st.AvgMTPSeconds*1000, st.PercentileMTP(0.99)*1000,
 			st.FPS, st.AvgE1, st.AvgBytesSent/1024)
 	}
 	for _, sp := range r.Dropped {
-		fmt.Printf("%-20s %-8s %s\n", sp.Name, sp.Config.App.Name, "DROPPED (cluster full)")
+		fmt.Fprintf(w, "%-20s %-8s %s\n", sp.Name, sp.Config.App.Name, "DROPPED (cluster full)")
 	}
-	fmt.Println()
-	fmt.Println(r)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, r)
 	for _, ln := range cliout.FidelityLines(r.Fidelity) {
-		fmt.Println(ln)
+		fmt.Fprintln(w, ln)
 	}
 }
 
@@ -186,7 +219,7 @@ type jsonSessionRow struct {
 	KBPerFrame float64 `json:"kb_per_frame"`
 }
 
-func printJSON(r fleet.Result) {
+func printJSON(w io.Writer, r fleet.Result) error {
 	report := struct {
 		Summary  fleet.Summary         `json:"summary"`
 		Fidelity *fleet.FidelityReport `json:"fidelity,omitempty"`
@@ -214,13 +247,11 @@ func printJSON(r fleet.Result) {
 	for _, sp := range r.Dropped {
 		report.Dropped = append(report.Dropped, sp.Name)
 	}
-	if err := cliout.WriteJSON(os.Stdout, report); err != nil {
-		fail("%v", err)
-	}
+	return cliout.WriteJSON(w, report)
 }
 
-func printCSV(r fleet.Result) {
-	w := cliout.NewCSV(os.Stdout,
+func printCSV(out io.Writer, r fleet.Result) {
+	w := cliout.NewCSV(out,
 		"session", "app", "gpu_mhz", "network", "avg_mtp_ms", "p99_mtp_ms",
 		"fps", "avg_e1_deg", "kb_per_frame", "status")
 	for _, sr := range r.Sessions {
