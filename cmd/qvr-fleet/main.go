@@ -192,12 +192,12 @@ func printTable(w io.Writer, r fleet.Result) {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		fmt.Fprintf(w, "%-20s %-8s %5.0fMHz %-9s %8.1f %8.1f %6.0f %8.1f %10.1f\n",
-			sr.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
+			sr.ID, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
 			st.AvgMTPSeconds*1000, st.PercentileMTP(0.99)*1000,
 			st.FPS, st.AvgE1, st.AvgBytesSent/1024)
 	}
 	for _, sp := range r.Dropped {
-		fmt.Fprintf(w, "%-20s %-8s %s\n", sp.Name, sp.Config.App.Name, "DROPPED (cluster full)")
+		fmt.Fprintf(w, "%-20s %-8s %s\n", sp.ID, sp.Config.App.Name, "DROPPED (cluster full)")
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, r)
@@ -233,7 +233,7 @@ func printJSON(w io.Writer, r fleet.Result) error {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		report.Sessions = append(report.Sessions, jsonSessionRow{
-			Name:       sr.Name,
+			Name:       sr.ID.String(),
 			App:        cfg.App.Name,
 			GPUMHz:     cfg.GPU.FrequencyMHz,
 			Network:    cfg.Network.Name,
@@ -245,7 +245,7 @@ func printJSON(w io.Writer, r fleet.Result) error {
 		})
 	}
 	for _, sp := range r.Dropped {
-		report.Dropped = append(report.Dropped, sp.Name)
+		report.Dropped = append(report.Dropped, sp.ID.String())
 	}
 	return cliout.WriteJSON(w, report)
 }
@@ -256,7 +256,7 @@ func printCSV(out io.Writer, r fleet.Result) {
 		"fps", "avg_e1_deg", "kb_per_frame", "status")
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
-		w.Row(sr.Name, cfg.App.Name,
+		w.Row(sr.ID.String(), cfg.App.Name,
 			fmt.Sprintf("%.0f", cfg.GPU.FrequencyMHz), cfg.Network.Name,
 			fmt.Sprintf("%.3f", st.AvgMTPSeconds*1000),
 			fmt.Sprintf("%.3f", st.PercentileMTP(0.99)*1000),
@@ -265,7 +265,7 @@ func printCSV(out io.Writer, r fleet.Result) {
 			fmt.Sprintf("%.2f", st.AvgBytesSent/1024), "ok")
 	}
 	for _, sp := range r.Dropped {
-		w.Row(sp.Name, sp.Config.App.Name,
+		w.Row(sp.ID.String(), sp.Config.App.Name,
 			fmt.Sprintf("%.0f", sp.Config.GPU.FrequencyMHz), sp.Config.Network.Name,
 			"", "", "", "", "", "dropped")
 	}

@@ -36,7 +36,7 @@ func namedSpec(name, appName string, freqMHz float64, cond netsim.Condition, p m
 	cfg.Network = cond
 	cfg.Profile = p
 	cfg.Seed = seed
-	return fleet.SessionSpec{Name: name, Config: cfg}
+	return fleet.SessionSpec{ID: fleet.NamedID(name), Config: cfg}
 }
 
 func printSessions(r fleet.Result) {
@@ -45,11 +45,11 @@ func printSessions(r fleet.Result) {
 	for _, sr := range r.Sessions {
 		cfg, st := sr.Config, sr.Stats
 		fmt.Printf("%-22s %-8s %5.0fMHz %-9s %8.1f %6.0f %8.1f %10.1f\n",
-			sr.Name, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
+			sr.ID, cfg.App.Name, cfg.GPU.FrequencyMHz, cfg.Network.Name,
 			st.AvgMTPSeconds*1000, st.FPS, st.AvgE1, st.AvgBytesSent/1024)
 	}
 	for _, sp := range r.Dropped {
-		fmt.Printf("%-22s %-8s %s\n", sp.Name, sp.Config.App.Name, "DROPPED (cluster full)")
+		fmt.Printf("%-22s %-8s %s\n", sp.ID, sp.Config.App.Name, "DROPPED (cluster full)")
 	}
 }
 

@@ -91,7 +91,7 @@ func TestPlaceMatchesBind(t *testing.T) {
 			if prev != nil {
 				for i, w := range prev.want {
 					if got := prev.bind(i, mint(prev.lo+i)); !reflect.DeepEqual(got, w) {
-						t.Fatalf("seed %d round %d: the previous round's binding of %s changed after this round's Bind", seed, r, w.Name)
+						t.Fatalf("seed %d round %d: the previous round's binding of %s changed after this round's Bind", seed, r, w.ID)
 					}
 				}
 			}
@@ -101,7 +101,7 @@ func TestPlaceMatchesBind(t *testing.T) {
 			}
 			for i := range got {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("seed %d round %d: session %s binds to\n%+v\nPlace gave\n%+v", seed, r, want[i].Name, got[i], want[i])
+					t.Fatalf("seed %d round %d: session %s binds to\n%+v\nPlace gave\n%+v", seed, r, want[i].ID, got[i], want[i])
 				}
 			}
 			prev = &round{lo: base, bind: bind, want: want}

@@ -95,10 +95,10 @@ func TestNearestRTTPlacesByRegion(t *testing.T) {
 	for i, sp := range placed {
 		if want := nearest[specs[i].Region]; sp.Config.RemoteClusterName != want {
 			t.Errorf("session %q (region %s) on %q, want %q",
-				sp.Name, specs[i].Region, sp.Config.RemoteClusterName, want)
+				sp.ID, specs[i].Region, sp.Config.RemoteClusterName, want)
 		}
 		if sp.Config.RemotePath.RTTSeconds <= 0 {
-			t.Errorf("session %q has no WAN path", sp.Name)
+			t.Errorf("session %q has no WAN path", sp.ID)
 		}
 	}
 }
@@ -132,10 +132,10 @@ func TestSaturationSpillsToNextBest(t *testing.T) {
 	for _, sp := range placed {
 		q := sp.Config.RemoteQueueSeconds
 		if sp.Config.RemoteClusterName == "tiny" && q <= 0 {
-			t.Errorf("session %q on saturated tiny should pay a queue delay", sp.Name)
+			t.Errorf("session %q on saturated tiny should pay a queue delay", sp.ID)
 		}
 		if sp.Config.RemoteClusterName == "big" && q != 0 {
-			t.Errorf("session %q on big pays unexpected queue %v", sp.Name, q)
+			t.Errorf("session %q on big pays unexpected queue %v", sp.ID, q)
 		}
 	}
 }
@@ -182,7 +182,7 @@ func TestOutageMigratesSessions(t *testing.T) {
 	for i, sp := range mustPlace(t, g, specs) { // second round: sticky, no moves
 		_ = i
 		if sp.Config.RemoteClusterName == "eu-central" {
-			victims[sp.Name] = true
+			victims[sp.ID.String()] = true
 		}
 	}
 	if len(victims) == 0 {
@@ -202,17 +202,17 @@ func TestOutageMigratesSessions(t *testing.T) {
 	}
 	for _, sp := range placed {
 		if sp.Config.RemoteClusterName == "eu-central" {
-			t.Fatalf("session %q still on the dead site", sp.Name)
+			t.Fatalf("session %q still on the dead site", sp.ID)
 		}
-		if victims[sp.Name] {
+		if victims[sp.ID.String()] {
 			if sp.Config.RemoteHandoffSeconds != g.HandoffSeconds {
-				t.Errorf("migrated session %q missing handoff stall", sp.Name)
+				t.Errorf("migrated session %q missing handoff stall", sp.ID)
 			}
 			if sp.Config.Design == pipeline.LocalOnly {
-				t.Errorf("migrated session %q degraded to local-only", sp.Name)
+				t.Errorf("migrated session %q degraded to local-only", sp.ID)
 			}
 		} else if sp.Config.RemoteHandoffSeconds != 0 {
-			t.Errorf("unmigrated session %q charged a handoff", sp.Name)
+			t.Errorf("unmigrated session %q charged a handoff", sp.ID)
 		}
 	}
 	for _, mv := range report.Moves {
@@ -266,7 +266,7 @@ func TestTotalOutageFailsOverLocal(t *testing.T) {
 	}
 	for _, sp := range placed {
 		if sp.Config.Design != pipeline.LocalOnly {
-			t.Errorf("session %q not degraded to local-only", sp.Name)
+			t.Errorf("session %q not degraded to local-only", sp.ID)
 		}
 	}
 	// Recovery: sites return, everyone re-places; returning from
@@ -281,7 +281,7 @@ func TestTotalOutageFailsOverLocal(t *testing.T) {
 	}
 	for _, sp := range placed {
 		if sp.Config.RemoteClusterName == "" {
-			t.Errorf("session %q still unplaced after failback", sp.Name)
+			t.Errorf("session %q still unplaced after failback", sp.ID)
 		}
 	}
 }
@@ -432,7 +432,7 @@ func TestShrinkEvictsAndGrowDrainsBack(t *testing.T) {
 	placed := mustPlace(t, g, specs)
 	for _, sp := range placed {
 		if sp.Config.RemoteClusterName != "near" {
-			t.Fatalf("light load should pack the near site, %q on %q", sp.Name, sp.Config.RemoteClusterName)
+			t.Fatalf("light load should pack the near site, %q on %q", sp.ID, sp.Config.RemoteClusterName)
 		}
 	}
 
@@ -460,8 +460,8 @@ func TestShrinkEvictsAndGrowDrainsBack(t *testing.T) {
 	for _, sp := range moved {
 		if sp.Config.RemoteHandoffSeconds > 0 {
 			handoffs++
-			if n := seen[sp.Name]; n != 1 {
-				t.Errorf("session %q charged a handoff for %d moves", sp.Name, n)
+			if n := seen[sp.ID.String()]; n != 1 {
+				t.Errorf("session %q charged a handoff for %d moves", sp.ID, n)
 			}
 		}
 	}

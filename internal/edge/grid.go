@@ -91,7 +91,7 @@ type Grid struct {
 	sites []*site
 	// assigned is the sticky session -> site binding from the previous
 	// placement round.
-	assigned map[string]string
+	assigned map[fleet.SessionID]string
 	// baseGPUs, when non-empty, overrides the topology-declared GPU
 	// counts for named sites — the autoscaler's knob. Phase overrides
 	// (BeginPhase) still win within their phase.
@@ -118,7 +118,7 @@ func NewGrid(t Topology, p Policy) (*Grid, error) {
 		topo:           t,
 		policy:         p,
 		HandoffSeconds: DefaultHandoffSeconds,
-		assigned:       map[string]string{},
+		assigned:       map[fleet.SessionID]string{},
 	}
 	g.resetSites()
 	return g, nil
@@ -261,12 +261,13 @@ func (g *Grid) applyPhase() {
 	}
 }
 
-// seat is one session's state through a placement round: the name
-// and region the place pass minted, the site it is bound to (nil =
+// seat is one session's state through a placement round: the ID and
+// region the place pass minted, the site it is bound to (nil =
 // local-only failover), and whether it kept its previous site (sticky)
 // or moved this round.
 type seat struct {
-	name, region  string
+	id            fleet.SessionID
+	region        string
 	site          *site
 	sticky, moved bool
 }
@@ -297,7 +298,7 @@ func (g *Grid) Place(specs []fleet.SessionSpec) ([]fleet.SessionSpec, fleet.Grid
 // report plus the binding that applies session i's placement to its
 // spec. It implements fleet.Placer.
 //
-// Placement mints each index once, for its name and region, and runs
+// Placement mints each index once, for its ID and region, and runs
 // in deterministic passes in index order: sticky first — a session
 // already bound to a live, unsaturated site stays there, because
 // moving users is what the migration penalty exists to discourage —
@@ -320,22 +321,22 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 	seats := make([]seat, n)
 	for i := range seats {
 		sp := at(i)
-		seats[i].name, seats[i].region = sp.Name, sp.Region
+		seats[i].id, seats[i].region = sp.ID, sp.Region
 	}
 	if len(g.assigned) == 0 {
 		// A fresh grid has nothing to prune; size the sticky map for
 		// the population it is about to hold.
-		g.assigned = make(map[string]string, n)
+		g.assigned = make(map[fleet.SessionID]string, n)
 	} else {
 		// The sticky map is pruned to the live population: a departed
 		// session's slot must not haunt the capacity accounting.
-		present := make(map[string]bool, n)
+		present := make(map[fleet.SessionID]bool, n)
 		for i := range seats {
-			present[seats[i].name] = true
+			present[seats[i].id] = true
 		}
-		for name := range g.assigned {
-			if !present[name] {
-				delete(g.assigned, name)
+		for id := range g.assigned {
+			if !present[id] {
+				delete(g.assigned, id)
 			}
 		}
 	}
@@ -344,7 +345,7 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 	// stays feasible.
 	for i := range seats {
 		st := &seats[i]
-		prev, ok := g.assigned[st.name]
+		prev, ok := g.assigned[st.id]
 		if !ok {
 			continue
 		}
@@ -367,7 +368,7 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 			continue
 		}
 		best := g.pickSite(st.region)
-		prev := g.assigned[st.name]
+		prev := g.assigned[st.id]
 		if best == nil {
 			// Every site is down or saturated past its queue limit:
 			// degrade to local-only rendering rather than drop.
@@ -376,8 +377,8 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 				g.obs.Inc(obs.CPlaceFailedOver)
 			}
 			if prev != "" {
-				report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: prev, To: FailoverName})
-				delete(g.assigned, st.name)
+				report.Moves = append(report.Moves, fleet.Move{Session: st.id.String(), From: prev, To: FailoverName})
+				delete(g.assigned, st.id)
 			}
 			continue
 		}
@@ -389,12 +390,12 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 		if prev != "" && prev != best.spec.Name {
 			report.Migrated++
 			st.moved = true
-			report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: prev, To: best.spec.Name})
+			report.Moves = append(report.Moves, fleet.Move{Session: st.id.String(), From: prev, To: best.spec.Name})
 			if g.obs != nil {
 				g.obs.Inc(obs.CPlaceMigrated)
 			}
 		}
-		g.assigned[st.name] = best.spec.Name
+		g.assigned[st.id] = best.spec.Name
 	}
 
 	// Pass 3 — drain-back: a sticky session migrates anyway when some
@@ -444,8 +445,8 @@ func (g *Grid) Bind(n int, at func(i int) fleet.SessionSpec) (func(i int, sp fle
 			g.obs.Inc(obs.CPlaceMigrated)
 			g.obs.Inc(obs.CPlaceDrainback)
 		}
-		report.Moves = append(report.Moves, fleet.Move{Session: st.name, From: s.spec.Name, To: alt.spec.Name})
-		g.assigned[st.name] = alt.spec.Name
+		report.Moves = append(report.Moves, fleet.Move{Session: st.id.String(), From: s.spec.Name, To: alt.spec.Name})
+		g.assigned[st.id] = alt.spec.Name
 	}
 
 	// Each site is shared like the fleet's single cluster: beyond

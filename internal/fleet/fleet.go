@@ -38,7 +38,11 @@
 // run the same worker loop.
 // A Source run keeps only its roll-up unless Config.Each takes the
 // per-session results, which is what carries a timeline to a million
-// sessions.
+// sessions. A session is identified by a SessionID, its tier and index,
+// which minting, admission, placement and the workers carry without
+// building a string; the "<tier>-%03d" name is rendered only where it
+// is printed (reports, traces, migration lines), so a session costs no
+// allocation on its way through the pool.
 //
 // Each session remains a fully deterministic single-threaded
 // simulation; concurrency lives only between sessions, and every
@@ -58,10 +62,10 @@ import (
 	"qvr/internal/pipeline"
 )
 
-// SessionSpec names one client session and its simulator
+// SessionSpec identifies one client session and holds its simulator
 // configuration.
 type SessionSpec struct {
-	Name string
+	ID SessionID
 	// Region is the user's geographic home ("" = unspecified). The
 	// edge grid's nearest-RTT scoring resolves per-cluster RTT against
 	// it; everything else ignores it.
@@ -113,7 +117,7 @@ type Config struct {
 	// so the population never exists in memory as a slice. The run and
 	// its results are the same as a Specs run. Admission, Placer and
 	// CellCapacity decide over the whole population by index: they
-	// mint what they need to read (names, regions, network conditions)
+	// mint what they need to read (IDs, regions, network conditions)
 	// up front and keep only the per-index decision, which each worker
 	// applies to the spec it mints. Only Result.Dropped, the
 	// refused tail, is ever held as specs.
@@ -153,14 +157,14 @@ func sliceSource(specs []SessionSpec) *SpecSource {
 	return src
 }
 
-// SessionResult is one completed session: its name, the config it
+// SessionResult is one completed session: its ID, the config it
 // actually ran (reflecting the admission layer's adjustments — shared
 // cluster, queue delay, scaled bandwidth — on top of the requested
 // spec's) and the compact streamed metrics. Full per-frame records are
 // never retained; a consumer that needs them runs Config through
 // pipeline directly with a framesink.RecordSink.
 type SessionResult struct {
-	Name   string
+	ID     SessionID
 	Config pipeline.Config
 	Stats  framesink.Summary
 }
@@ -370,7 +374,7 @@ func runWorker(cfg Config, src *SpecSource, fid *fidelityState, traceRun, worker
 			}
 			var st *obs.SessionTrace
 			if cfg.Tracer != nil && cfg.Tracer.Wants(i) {
-				st = cfg.Tracer.Session(traceRun, i, sp.Name, sp.Config, dst)
+				st = cfg.Tracer.Session(traceRun, i, sp.ID.String(), sp.Config, dst)
 				dst = st
 			}
 			sess.Reset(sp.Config)
@@ -397,7 +401,7 @@ func runWorker(cfg Config, src *SpecSource, fid *fidelityState, traceRun, worker
 		}
 		tallies[i] = tally{fps: sum.FPS, bytes: sum.AvgBytesSent}
 		if cfg.Each != nil {
-			cfg.Each(i, SessionResult{Name: sp.Name, Config: ran, Stats: sum})
+			cfg.Each(i, SessionResult{ID: sp.ID, Config: ran, Stats: sum})
 		}
 	}
 }

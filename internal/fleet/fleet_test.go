@@ -71,8 +71,8 @@ func TestSessionsAreHeterogeneousAndOrdered(t *testing.T) {
 	seeds := map[int64]bool{}
 	apps := map[string]bool{}
 	for i, sr := range r.Sessions {
-		if sr.Name != specs[i].Name {
-			t.Fatalf("session %d out of order: got %q want %q", i, sr.Name, specs[i].Name)
+		if sr.ID != specs[i].ID {
+			t.Fatalf("session %d out of order: got %q want %q", i, sr.ID, specs[i].ID)
 		}
 		seeds[sr.Config.Seed] = true
 		apps[sr.Config.App.Name] = true
@@ -121,8 +121,8 @@ func TestAdmissionDropsBeyondQueueLimit(t *testing.T) {
 		t.Fatalf("admitted %d sessions, want %d", got, want)
 	}
 	for i, sp := range r.Dropped {
-		if sp.Name != specs[8+i].Name {
-			t.Errorf("dropped[%d] = %q, want tail spec %q", i, sp.Name, specs[8+i].Name)
+		if sp.ID != specs[8+i].ID {
+			t.Errorf("dropped[%d] = %q, want tail spec %q", i, sp.ID, specs[8+i].ID)
 		}
 	}
 	if r.Contention.Load != 2.0 {
@@ -159,7 +159,7 @@ func TestContentionSlowsRemoteChain(t *testing.T) {
 	for _, sr := range loaded.Sessions {
 		if sr.Config.RemoteQueueSeconds != loaded.Contention.QueueSeconds {
 			t.Fatalf("session %q queue delay = %v, want %v",
-				sr.Name, sr.Config.RemoteQueueSeconds, loaded.Contention.QueueSeconds)
+				sr.ID, sr.Config.RemoteQueueSeconds, loaded.Contention.QueueSeconds)
 		}
 	}
 	fp, lp := free.Summarize().P95MTPMs, loaded.Summarize().P95MTPMs
@@ -191,7 +191,7 @@ func TestCellSharingDeratesBandwidth(t *testing.T) {
 			want := nominal.BandwidthBps * factor
 			if math.Abs(sr.Config.Network.BandwidthBps-want) > 1 {
 				t.Errorf("session %q on %q: bandwidth %v, want %v",
-					sr.Name, name, sr.Config.Network.BandwidthBps, want)
+					sr.ID, name, sr.Config.Network.BandwidthBps, want)
 			}
 		}
 	}
@@ -304,7 +304,7 @@ func TestOutageFailsOverToLocal(t *testing.T) {
 	}
 	for _, sr := range outage.Sessions {
 		if sr.Config.Design != pipeline.LocalOnly {
-			t.Errorf("session %q still on design %v during outage", sr.Name, sr.Config.Design)
+			t.Errorf("session %q still on design %v during outage", sr.ID, sr.Config.Design)
 		}
 	}
 	if s := outage.Summarize(); s.FailedOver != len(specs) {
@@ -349,14 +349,69 @@ func TestSpecsRangeMatchesSpecs(t *testing.T) {
 	}
 }
 
-// TestSessionNameMatchesSprintf: the minter's name builder must spell
-// every session exactly as the "%s-%03d" format it replaces.
+// TestSessionNameMatchesSprintf: a minted ID must render every
+// session's name exactly as the "%s-%03d" format it replaces, and a
+// hand-built ID its name verbatim.
 func TestSessionNameMatchesSprintf(t *testing.T) {
 	for _, tier := range []string{"", "budget-lte", "a-tier-name-longer-than-thirty-two-bytes"} {
 		for _, g := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 12345, 1_000_000, 1<<62 + 3} {
-			if got, want := sessionName(tier, g), fmt.Sprintf("%s-%03d", tier, g); got != want {
-				t.Errorf("sessionName(%q, %d) = %q, want %q", tier, g, got, want)
+			id := SessionID{name: tier, seq: g + 1}
+			if got, want := id.String(), fmt.Sprintf("%s-%03d", tier, g); got != want {
+				t.Errorf("minted ID (%q, %d) renders %q, want %q", tier, g, got, want)
 			}
 		}
+		if got := NamedID(tier).String(); got != tier {
+			t.Errorf("NamedID(%q) renders %q", tier, got)
+		}
+	}
+	if got := (SessionID{}).String(); got != "" {
+		t.Errorf("the zero ID renders %q, want the empty name", got)
+	}
+}
+
+// TestMintedIDsRenderDistinctNames: distinct minted IDs must render
+// distinct names, even for tiers that end in "-" plus digits and so
+// look like a shorter tier's name, over indices 0 to 1e6.
+func TestMintedIDsRenderDistinctNames(t *testing.T) {
+	tiers := []string{"", "a", "a-", "a-1", "a-10", "a-100", "a-1000", "x-001", "9", "budget-lte", "budget-lte-005"}
+	var gs []int
+	for g := 0; g <= 2000; g++ {
+		gs = append(gs, g)
+	}
+	for g := 2001; g <= 1_000_000; g = g*3/2 + 1 {
+		gs = append(gs, g-1, g)
+	}
+	gs = append(gs, 999_999, 1_000_000)
+	seen := make(map[string]SessionID, len(tiers)*len(gs))
+	for _, tier := range tiers {
+		for _, g := range gs {
+			id := SessionID{name: tier, seq: g + 1}
+			name := id.String()
+			if prev, ok := seen[name]; ok && prev != id {
+				t.Fatalf("minted IDs %+v and %+v both render %q", prev, id, name)
+			}
+			seen[name] = id
+		}
+	}
+}
+
+// TestMintAllocatesNothing: minting a spec builds its ID, not its
+// name, so a worker's mint costs no allocation.
+func TestMintAllocatesNothing(t *testing.T) {
+	mix, _ := MixByName("mixed")
+	mint, err := mix.Minter(pipeline.QVR, 20, 10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp SessionSpec
+	g := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		sp = mint(g)
+		g += 997
+	}); allocs != 0 {
+		t.Errorf("mint allocates %v times per spec, want 0", allocs)
+	}
+	if sp.ID.String() == "" {
+		t.Error("minted spec has no name")
 	}
 }

@@ -92,10 +92,10 @@ func TestContendedSourceMintsByIndex(t *testing.T) {
 			return fleet.Config{Placer: g, CellCapacity: 4}
 		}},
 	}
-	names := func(specs []fleet.SessionSpec) []string {
-		var out []string
+	names := func(specs []fleet.SessionSpec) []fleet.SessionID {
+		var out []fleet.SessionID
 		for _, sp := range specs {
-			out = append(out, sp.Name)
+			out = append(out, sp.ID)
 		}
 		return out
 	}

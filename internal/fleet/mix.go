@@ -174,19 +174,45 @@ func (m Mix) Minter(design pipeline.Design, frames, warmup int, baseSeed int64) 
 		cfg := b.cfg
 		cfg.Seed = baseSeed + int64(g)*1009 + 7
 		return SessionSpec{
-			Name:   sessionName(b.name, g),
+			ID:     SessionID{name: b.name, seq: g + 1},
 			Region: b.region,
 			Config: cfg,
 		}
 	}, nil
 }
 
-// sessionName is fmt.Sprintf("%s-%03d", tier, g) for g >= 0 in one
-// allocation instead of three: a timeline re-mints every carried
-// session each phase.
-func sessionName(tier string, g int) string {
+// SessionID identifies one session. It is a comparable value that
+// costs nothing to build: a minted session's ID is its tier and global
+// index, and String renders the "<tier>-%03d" name only where a name
+// is printed (reports, traces, migration lines). A hand-built spec's
+// ID (NamedID) is its whole name.
+//
+// Minted and hand-built IDs never share one population: a hand-built
+// "x-005" and the minted session 5 of tier "x" render the same name
+// but compare unequal, so anything keyed by ID — the edge grid's
+// sticky placement map, for one — would treat them as two sessions.
+// Build a run's specs one way or the other.
+type SessionID struct {
+	// name is a minted ID's tier, or a hand-built ID's whole name.
+	name string
+	// seq is a minted ID's global index plus one; 0 marks a hand-built
+	// name, so the zero SessionID is the empty name.
+	seq int
+}
+
+// NamedID is the ID of a hand-built spec: the given name, verbatim.
+func NamedID(name string) SessionID { return SessionID{name: name} }
+
+// String renders the ID's session name: a hand-built ID's name, or
+// fmt.Sprintf("%s-%03d", tier, g) for the minted session g of a tier,
+// in one allocation instead of three.
+func (id SessionID) String() string {
+	if id.seq == 0 {
+		return id.name
+	}
+	g := id.seq - 1
 	var b [32]byte
-	s := append(b[:0], tier...)
+	s := append(b[:0], id.name...)
 	s = append(s, '-')
 	for d := 100; d > 1 && g < d; d /= 10 {
 		s = append(s, '0')

@@ -41,7 +41,7 @@ func TestStreamingMatchesMaterializedFleet(t *testing.T) {
 		frames, avgMTP, fps, avgBytes, p99 := rerunMaterialized(sr.Config)
 		st := sr.Stats
 		if st.Frames != frames {
-			t.Fatalf("%s: %d streamed frames, %d materialized", sr.Name, st.Frames, frames)
+			t.Fatalf("%s: %d streamed frames, %d materialized", sr.ID, st.Frames, frames)
 		}
 		for name, pair := range map[string][2]float64{
 			"avg_mtp": {st.AvgMTPSeconds, avgMTP},
@@ -50,7 +50,7 @@ func TestStreamingMatchesMaterializedFleet(t *testing.T) {
 			"p99":     {st.PercentileMTP(0.99), p99},
 		} {
 			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Errorf("%s: %s streamed %v != materialized %v", sr.Name, name, pair[0], pair[1])
+				t.Errorf("%s: %s streamed %v != materialized %v", sr.ID, name, pair[0], pair[1])
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func rolledUp(sessions []SessionResult) Result {
 func TestSummarizeZeroFrameSession(t *testing.T) {
 	live := Run(Config{Specs: testSpecs(t, 2)})
 	r := rolledUp(append(live.Sessions, SessionResult{
-		Name: "empty",
+		ID: NamedID("empty"),
 	}))
 	s := r.Summarize()
 	finite(t, "zero-frame-session", s)
@@ -111,7 +111,7 @@ func TestSummarizeZeroFrameSession(t *testing.T) {
 	}
 
 	// An all-empty fleet: zero everywhere, still finite.
-	empty := rolledUp([]SessionResult{{Name: "a"}, {Name: "b"}})
+	empty := rolledUp([]SessionResult{{ID: NamedID("a")}, {ID: NamedID("b")}})
 	es := empty.Summarize()
 	finite(t, "all-zero-frame", es)
 	if es.P99MTPMs != 0 || es.MeanFPS != 0 || es.TargetShare != 0 {

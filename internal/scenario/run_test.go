@@ -63,7 +63,7 @@ func runKeeping(t *testing.T, sc Scenario, opt Options) (Result, [][]fleet.Sessi
 			t.Fatalf("phase %q: sink received %d sessions, want %d admitted", p.Phase.Name, len(kept[pi]), admitted)
 		}
 		for i, sr := range kept[pi] {
-			if sr.Name == "" {
+			if sr.ID == (fleet.SessionID{}) {
 				t.Fatalf("phase %q: sink never received session %d", p.Phase.Name, i)
 			}
 		}
@@ -127,7 +127,7 @@ func TestClusterOutageFailover(t *testing.T) {
 	}
 	for _, sr := range kept[1] {
 		if sr.Config.Design != pipeline.LocalOnly {
-			t.Errorf("session %q not failed over during outage", sr.Name)
+			t.Errorf("session %q not failed over during outage", sr.ID)
 		}
 	}
 	sp99, op99, fp99 := steady.Summary.Summary.P99MTPMs, outage.Summary.Summary.P99MTPMs, failback.Summary.Summary.P99MTPMs
@@ -184,16 +184,16 @@ func TestFlashCrowdPopulation(t *testing.T) {
 			len(drain.Fleet.Dropped), len(settled.Fleet.Dropped))
 	}
 	// Carried identity: every baseline user is still there mid-spike.
-	inSpike := map[string]bool{}
+	inSpike := map[fleet.SessionID]bool{}
 	for _, sr := range kept[1] {
-		inSpike[sr.Name] = true
+		inSpike[sr.ID] = true
 	}
 	for _, sp := range spike.Fleet.Dropped {
-		inSpike[sp.Name] = true
+		inSpike[sp.ID] = true
 	}
 	for _, sr := range kept[0] {
-		if !inSpike[sr.Name] {
-			t.Errorf("baseline session %q vanished during the spike", sr.Name)
+		if !inSpike[sr.ID] {
+			t.Errorf("baseline session %q vanished during the spike", sr.ID)
 		}
 	}
 }
@@ -202,13 +202,13 @@ func TestFlashCrowdPopulation(t *testing.T) {
 // from a fresh derived seed, not a replay of the previous window.
 func TestPhaseSeedsDiffer(t *testing.T) {
 	r, kept := runKeeping(t, mustBuiltin(t, "steady"), tiny)
-	seeds := map[string]map[int64]bool{}
+	seeds := map[fleet.SessionID]map[int64]bool{}
 	for pi := range r.Phases {
 		for _, sr := range kept[pi] {
-			if seeds[sr.Name] == nil {
-				seeds[sr.Name] = map[int64]bool{}
+			if seeds[sr.ID] == nil {
+				seeds[sr.ID] = map[int64]bool{}
 			}
-			seeds[sr.Name][sr.Config.Seed] = true
+			seeds[sr.ID][sr.Config.Seed] = true
 		}
 	}
 	for name, set := range seeds {
@@ -222,14 +222,14 @@ func TestPhaseSeedsDiffer(t *testing.T) {
 // but swaps the oldest half for brand-new arrivals.
 func TestChurnReplacesOldest(t *testing.T) {
 	r, kept := runKeeping(t, mustBuiltin(t, "churn"), tiny)
-	names := func(pi int) map[string]bool {
+	names := func(pi int) map[fleet.SessionID]bool {
 		p := r.Phases[pi]
-		set := map[string]bool{}
+		set := map[fleet.SessionID]bool{}
 		for _, sr := range kept[pi] {
-			set[sr.Name] = true
+			set[sr.ID] = true
 		}
 		for _, sp := range p.Fleet.Dropped {
-			set[sp.Name] = true
+			set[sp.ID] = true
 		}
 		return set
 	}
@@ -264,7 +264,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 		cond := sr.Config.Network
 		nominal, ok := netsim.ConditionByName(cond.Name)
 		if !ok {
-			t.Fatalf("session %q on unknown condition %q", sr.Name, cond.Name)
+			t.Fatalf("session %q on unknown condition %q", sr.ID, cond.Name)
 		}
 		want := nominal.BandwidthBps
 		if cond.Name == "Wi-Fi" || cond.Name == "4G LTE" {
@@ -272,7 +272,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 			scaled++
 		}
 		if cond.BandwidthBps != want {
-			t.Errorf("brownout session %q bandwidth %v, want %v", sr.Name, cond.BandwidthBps, want)
+			t.Errorf("brownout session %q bandwidth %v, want %v", sr.ID, cond.BandwidthBps, want)
 		}
 	}
 	if scaled == 0 {
@@ -281,7 +281,7 @@ func TestNetBrownoutDeratesAndRecovers(t *testing.T) {
 	for _, sr := range kept[2] {
 		nominal, _ := netsim.ConditionByName(sr.Config.Network.Name)
 		if sr.Config.Network.BandwidthBps != nominal.BandwidthBps {
-			t.Errorf("derate leaked into recovery for %q: %v", sr.Name, sr.Config.Network.BandwidthBps)
+			t.Errorf("derate leaked into recovery for %q: %v", sr.ID, sr.Config.Network.BandwidthBps)
 		}
 	}
 	if brown.Summary.Summary.P99MTPMs <= r.Phases[0].Summary.Summary.P99MTPMs {
@@ -330,7 +330,7 @@ func TestEdgeRegionalOutage(t *testing.T) {
 	handoffs := 0
 	for _, sr := range kept[1] {
 		if sr.Config.RemoteClusterName == "eu-central" {
-			t.Errorf("session %q still bound to the dead site", sr.Name)
+			t.Errorf("session %q still bound to the dead site", sr.ID)
 		}
 		if sr.Config.RemoteHandoffSeconds > 0 {
 			handoffs++
@@ -671,11 +671,11 @@ func TestAutoscaleFlapChargesOneHandoffPerMove(t *testing.T) {
 		// ...and the handoff stall is charged to exactly the movers.
 		for _, sr := range kept[pi] {
 			charged := sr.Config.RemoteHandoffSeconds > 0
-			if charged && moved[sr.Name] == 0 {
-				t.Errorf("phase %q charged unmoved session %q a handoff", p.Phase.Name, sr.Name)
+			if charged && moved[sr.ID.String()] == 0 {
+				t.Errorf("phase %q charged unmoved session %q a handoff", p.Phase.Name, sr.ID)
 			}
-			if !charged && moved[sr.Name] > 0 && sr.Config.RemoteClusterName != "" {
-				t.Errorf("phase %q moved session %q without a handoff", p.Phase.Name, sr.Name)
+			if !charged && moved[sr.ID.String()] > 0 && sr.Config.RemoteClusterName != "" {
+				t.Errorf("phase %q moved session %q without a handoff", p.Phase.Name, sr.ID)
 			}
 		}
 		if p.Phase.ClusterGPUs["east"] == 0 && len(p.Phase.ClusterGPUs) > 0 {
@@ -732,7 +732,7 @@ func TestStreamingEquivalenceAcrossTimeline(t *testing.T) {
 			st := sr.Stats
 			if st.Frames != len(full.Frames) {
 				t.Fatalf("phase %q session %q: %d streamed frames, %d materialized",
-					p.Phase.Name, sr.Name, st.Frames, len(full.Frames))
+					p.Phase.Name, sr.ID, st.Frames, len(full.Frames))
 			}
 			for name, pair := range map[string][2]float64{
 				"avg_mtp": {st.AvgMTPSeconds, full.AvgMTPSeconds()},
@@ -742,7 +742,7 @@ func TestStreamingEquivalenceAcrossTimeline(t *testing.T) {
 			} {
 				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 					t.Errorf("phase %q session %q: %s streamed %v != materialized %v",
-						p.Phase.Name, sr.Name, name, pair[0], pair[1])
+						p.Phase.Name, sr.ID, name, pair[0], pair[1])
 				}
 			}
 			checked++
