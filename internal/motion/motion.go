@@ -273,13 +273,14 @@ func (g *Generator) expDur(mean float64) float64 {
 // Advance moves the model forward by dt seconds and returns the new
 // tracker sample. dt must be positive.
 func (g *Generator) Advance(dt float64) Sample {
-	s := g.step(dt)
+	var s sensed
+	g.step(dt, &s)
 	return s.sample()
 }
 
-// step moves the model forward by dt seconds and returns the new
-// observation, its orientation not yet built.
-func (g *Generator) step(dt float64) sensed {
+// step moves the model forward by dt seconds and writes the new
+// observation to s, its orientation not yet built.
+func (g *Generator) step(dt float64, s *sensed) {
 	if dt <= 0 {
 		dt = 1e-4
 	}
@@ -364,7 +365,7 @@ func (g *Generator) step(dt float64) sensed {
 		g.dist = math.Max(g.dist-g.distSpeed*dt, g.distTarget)
 	}
 
-	return sensed{t: g.t, euler: g.euler, pos: g.pos, gaze: g.gaze, dist: g.dist}
+	*s = sensed{t: g.t, euler: g.euler, pos: g.pos, gaze: g.gaze, dist: g.dist}
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -20,15 +20,19 @@ type Tracker struct {
 	gen      *Generator
 	hz       float64
 	transmit float64 // seconds from sensing to availability
-	// samples is a bounded window of the most recent observations.
-	// Requests only move forward and generation always overshoots the
-	// requested time by less than one period, so the answer is always
-	// among the newest few samples; keeping a fixed window makes the
-	// tracker O(1) memory (and allocation-free in steady state) no
-	// matter how long the session runs. Entries keep Euler angles:
-	// only the sample SampleAt returns gets its orientation built.
-	samples   []sensed
-	generated float64 // timestamp of the newest generated sample
+	// samples is a ring of the most recent observations. Requests
+	// only move forward and generation always overshoots the requested
+	// time by less than one period, so the answer is always among the
+	// newest few samples; a fixed ring makes the tracker O(1) memory
+	// and allocation-free no matter how long the session runs, and
+	// each generator step writes straight into the slot it claims.
+	// Entries keep Euler angles: only the sample SampleAt returns gets
+	// its orientation built.
+	samples [sampleWindow]sensed
+	// newest indexes the newest entry; held counts the filled entries,
+	// up to sampleWindow.
+	newest, held int
+	generated    float64 // timestamp of the newest generated sample
 
 	// Gaze measurement noise: production eye trackers are accurate to
 	// about one degree (Section 7 of the paper); SetGazeNoise injects
@@ -55,8 +59,8 @@ func NewTracker(gen *Generator, hz, transmitLatency float64) *Tracker {
 
 // Reset re-initializes the tracker in place, as NewTracker returns it:
 // gaze noise is off and its source goes back to the pool, and the
-// sample window empties but keeps its backing array. gen is taken as
-// given: Reset neither resets it nor returns its source.
+// sample window empties. gen is taken as given: Reset neither resets
+// it nor returns its source.
 func (tr *Tracker) Reset(gen *Generator, hz, transmitLatency float64) {
 	if hz <= 0 {
 		hz = DefaultTrackerHz
@@ -65,7 +69,7 @@ func (tr *Tracker) Reset(gen *Generator, hz, transmitLatency float64) {
 		transmitLatency = DefaultTransmitLatency
 	}
 	randpool.Put(tr.noiseRng)
-	*tr = Tracker{gen: gen, hz: hz, transmit: transmitLatency, samples: tr.samples[:0]}
+	*tr = Tracker{gen: gen, hz: hz, transmit: transmitLatency}
 }
 
 // SetGazeNoise enables Gaussian gaze measurement error with the given
@@ -86,12 +90,20 @@ func (tr *Tracker) Release() {
 	tr.noiseRng = nil
 }
 
-func (tr *Tracker) perturb(s sensed) sensed {
-	if tr.gazeNoise <= 0 || tr.noiseRng == nil {
-		return s
+// sense steps the generator by dt into the ring's next slot, applies
+// the gaze noise there, and returns the slot.
+func (tr *Tracker) sense(dt float64) *sensed {
+	if tr.newest++; tr.newest == sampleWindow {
+		tr.newest = 0
 	}
-	s.gaze.X += tr.noiseRng.NormFloat64() * tr.gazeNoise
-	s.gaze.Y += tr.noiseRng.NormFloat64() * tr.gazeNoise
+	tr.held = min(tr.held+1, sampleWindow)
+	s := &tr.samples[tr.newest]
+	tr.gen.step(dt, s)
+	if tr.gazeNoise > 0 && tr.noiseRng != nil {
+		s.gaze.X += tr.noiseRng.NormFloat64() * tr.gazeNoise
+		s.gaze.Y += tr.noiseRng.NormFloat64() * tr.gazeNoise
+	}
+	tr.generated += dt
 	return s
 }
 
@@ -109,38 +121,27 @@ func (tr *Tracker) SampleAt(t float64) Sample {
 	avail := t - tr.transmit
 	dt := 1 / tr.hz
 	for tr.generated <= avail {
-		tr.push(tr.perturb(tr.gen.step(dt)))
-		tr.generated += dt
+		tr.sense(dt)
+	}
+	if tr.held == 0 {
+		// No sample is available yet (very start of the session):
+		// sense one.
+		return tr.sense(dt).sample()
 	}
 	// Binary search would be overkill: frames consume samples nearly
-	// in order, so scan from the back.
-	for i := len(tr.samples) - 1; i >= 0; i-- {
+	// in order, so scan from the newest. When every held sample is
+	// still in flight, the oldest is the answer.
+	i := tr.newest
+	for range tr.held - 1 {
 		if tr.samples[i].t <= avail {
-			return tr.samples[i].sample()
+			break
 		}
+		if i == 0 {
+			i = sampleWindow
+		}
+		i--
 	}
-	if len(tr.samples) > 0 {
-		return tr.samples[0].sample()
-	}
-	// No sample is available yet (very start of the session): sense one.
-	s := tr.perturb(tr.gen.step(dt))
-	tr.push(s)
-	tr.generated += dt
-	return s.sample()
-}
-
-// push appends a sample, sliding the bounded window in place so the
-// backing array is allocated once and reused for the whole session.
-func (tr *Tracker) push(s sensed) {
-	if len(tr.samples) == sampleWindow {
-		copy(tr.samples, tr.samples[1:])
-		tr.samples[sampleWindow-1] = s
-		return
-	}
-	if cap(tr.samples) == 0 {
-		tr.samples = make([]sensed, 0, sampleWindow)
-	}
-	tr.samples = append(tr.samples, s)
+	return tr.samples[i].sample()
 }
 
 // TransmitLatency returns the modeled sensor transmission latency in
